@@ -265,7 +265,7 @@ def dispatch(argv) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.cmd](args)
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"discdet {args.cmd}: error: {exc}\n")
         return EX_USAGE
     except Exception:

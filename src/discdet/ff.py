@@ -95,7 +95,8 @@ def binom_mod_p(ctx: PrimeCtx, n: int, k: int) -> int:
 
 def multinom_mod_p(ctx: PrimeCtx, n: int, parts) -> int:
     """n! / prod(k_i!) mod p; requires n < p and sum(parts) == n."""
-    assert n < ctx.p and sum(parts) == n
+    if n >= ctx.p or sum(parts) != n:
+        raise ValueError(f"multinomial needs n < p = {ctx.p} and parts summing to n = {n}")
     out = ctx.fact[n]
     for k in parts:
         out = out * ctx.inv_fact[k] % ctx.p

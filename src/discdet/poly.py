@@ -106,10 +106,6 @@ class FpPoly:
         return f"FpPoly(p={self.ctx.p}, {self.coeffs})"
 
 
-def from_coeffs(ctx: PrimeCtx, coeffs) -> FpPoly:
-    return FpPoly(ctx, coeffs)
-
-
 def monomial_sum(ctx: PrimeCtx, terms) -> FpPoly:
     """Build a polynomial from (exponent, coefficient) pairs."""
     if not terms:

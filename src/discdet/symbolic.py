@@ -10,10 +10,6 @@ from itertools import combinations
 from .ff import PrimeCtx
 
 
-class ZeroPivotUnresolvable(ArithmeticError):
-    pass
-
-
 class ScaleRefusal(ValueError):
     """Desk-scale guard tripped; symbolic blowup is super-exponential."""
 

@@ -12,12 +12,11 @@ polynomial of the stage:
     T4: x^r + x + b        (b = 2, 3)
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .ff import PrimeCtx, is_prime, prime_ctx
+from .ff import PrimeCtx, is_prime
 from .fpmat import det, m_matrix
 from .poly import (
     XR_MINUS_1,
@@ -27,7 +26,8 @@ from .poly import (
     special_discriminant,
     trinomial_discriminant,
 )
-from .sets import Triple, det_xr1, enumerate_C, g_exponent, in_B
+# enumerate_C is not called here; perfbench/tracer.py wraps it under this module's name.
+from .sets import Triple, candidates, det_xr1, enumerate_C, g_exponent, half_g, xr1_det  # noqa: F401
 
 STAGES = 4
 
@@ -57,14 +57,16 @@ class RangeStats:
         return f"{scaled // 10**5}.{scaled % 10**5:05d}"
 
 
+def _eps0(xr1: int, gh: int, inv_d1: int, p: int) -> int:
+    """det M_d((x^r-1)^e) / Delta(x^r-1)^{g/2}, given the det and 1/Delta."""
+    return xr1 * pow(inv_d1, gh, p) % p
+
+
 def baseline_eps0(t: Triple) -> int:
     """det M_d((x^r-1)^e) / Delta(x^r-1)^{g/2}, both by closed form."""
     ctx = t.ctx
-    p = ctx.p
-    g = g_exponent(t)
-    gh = g.numerator // 2
-    d0 = special_discriminant(XR_MINUS_1, t.r, ctx)
-    return det_xr1(t) * ctx.inv(pow(d0, gh, p)) % p
+    inv_d1 = ctx.inv(special_discriminant(XR_MINUS_1, t.r, ctx))
+    return _eps0(det_xr1(t), half_g(ctx.p, t.r, t.e, t.d), inv_d1, ctx.p)
 
 
 def test_candidate(t: Triple, f, eps0: int, delta: Optional[int] = None) -> bool:
@@ -102,26 +104,21 @@ def verify_prime(ctx: PrimeCtx) -> PrimeReport:
     p = ctx.p
     if p == 2:
         raise ValueError("p = 2 has no candidates (r | p-1 is impossible)")
-    c_counts = []
-    candidates = {}
-    for j in (1, 2, 3, 4):
-        count = 0
-        for t, closed_det in enumerate_C(j, ctx):
-            if in_B(t) is not None:
-                continue
-            count += 1
-            candidates.setdefault(t.as_tuple(), (t, closed_det))
-        c_counts.append(count)
-
+    c_counts = [0, 0, 0, 0]
     t_counts = [0, 0, 0, 0]
     stage_records = []
     survivors = []
-    for _, (t, closed_det) in sorted(candidates.items()):
-        eps0 = baseline_eps0(t)
-        gh = g_exponent(t).numerator // 2
-        d_xrx = special_discriminant(XR_MINUS_X, t.r, ctx)
+    disc_r = None
+    for j, r, e, d, gh, closed_det in candidates(ctx):
+        c_counts[j - 1] += 1
+        if r != disc_r:
+            disc_r = r
+            inv_d1 = ctx.inv(special_discriminant(XR_MINUS_1, r, ctx))
+            d_xrx = special_discriminant(XR_MINUS_X, r, ctx)
+        eps0 = _eps0(xr1_det(ctx, r, e, d, gh), gh, inv_d1, p)
         if closed_det != eps0 * pow(d_xrx, gh, p) % p:
             continue
+        t = Triple(ctx, r, e, d)
         t_counts[0] += 1
         stage = 1
         for family in _stage_families(ctx, t.r):
@@ -138,7 +135,8 @@ def verify_prime(ctx: PrimeCtx) -> PrimeReport:
 
 
 def _verify_one(p: int) -> PrimeReport:
-    return verify_prime(prime_ctx(p))
+    # Each prime is visited once, so its tables stay out of the shared cache.
+    return verify_prime(PrimeCtx(p))
 
 
 def verify_range(p_min: int, p_max: int, workers: int = 1):
@@ -147,6 +145,9 @@ def verify_range(p_min: int, p_max: int, workers: int = 1):
         raise ValueError("need p_min <= p_max")
     primes = [p for p in range(max(p_min, 3), p_max + 1) if is_prime(p)]
     if workers > 1 and len(primes) > 1:
+        # Imported here so that serial callers do not pay for importing multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_verify_one, primes, chunksize=8))
     else:

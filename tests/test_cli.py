@@ -117,5 +117,20 @@ def test_usage_errors_exit_64(capsys):
     assert exc.value.code == 64
     # domain errors are reported, not raised
     assert main(["verify3", "--min-p", "9", "--max-p", "3"]) == 64
+    assert main(["verify3", "--min-p", "10", "--max-p", "5"]) == 64
     assert main(["th5", "--p", "6", "--r", "2", "--e", "3"]) == 64
     capsys.readouterr()
+
+
+def test_internal_arithmetic_faults_exit_70(monkeypatch, capsys):
+    from discdet import cli
+    from discdet.fpmat import Singular
+    from discdet.theorem5 import SingularM
+
+    for fault in (ZeroDivisionError, Singular, SingularM):
+        def command(args, fault=fault):
+            raise fault("internal")
+
+        monkeypatch.setitem(cli._COMMANDS, "verify3", command)
+        assert main(["verify3", "--min-p", "3", "--max-p", "5"]) == 70, fault
+    assert "ZeroDivisionError" in capsys.readouterr().err

@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -152,6 +157,50 @@ def test_closed_form_xrx_dets_match_direct():
                     continue
                 f = monomial_sum(ctx, [(t.r, 1), (1, -1)])
                 assert det(m_matrix(f, t.e, t.d)) == cd, (p, j, t)
+
+
+def test_ranges_the_kernel_skips_lie_in_B():
+    # candidates() never visits C1 at r = 2 or C4 with d in {r-1, r}
+    for p in range(3, 400):
+        if not is_prime(p):
+            continue
+        ctx = prime_ctx(p)
+        for t, _ in enumerate_C(1, ctx):
+            if t.r == 2:
+                assert in_B(t) is not None, t
+        for t, _ in enumerate_C(4, ctx):
+            if t.d >= t.r - 1:
+                assert in_B(t) is not None, t
+
+
+def test_invariants_raise_under_python_O():
+    script = textwrap.dedent("""
+        import sys
+        from discdet.ff import multinom_mod_p, prime_ctx
+        from discdet.sets import BadExponent, Triple, det_xrx_rm2, half_g
+
+        if __debug__:
+            sys.exit("not running under -O")
+        checks = [
+            (BadExponent, half_g, (7, 3, 3, 1)),  # g = 1, odd
+            (BadExponent, half_g, (7, 4, 5, 1)),  # g = 7/3
+            (ValueError, det_xrx_rm2, (Triple(prime_ctx(7), 4, 6, 2), 0)),
+            (ValueError, multinom_mod_p, (prime_ctx(5), 5, [5])),
+            (ValueError, multinom_mod_p, (prime_ctx(7), 4, [2, 1])),
+        ]
+        for exc, fn, args in checks:
+            try:
+                fn(*args)
+            except exc:
+                continue
+            sys.exit(f"{fn.__name__}{args} did not raise {exc.__name__}")
+        print("ok")
+    """)
+    src_dir = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src_dir))
+    res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert (res.returncode, res.stdout.strip()) == (0, "ok"), res.stderr
 
 
 def test_degree_balance():

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from discdet.ff import prime_ctx
+from discdet.ff import is_prime, prime_ctx
 from discdet.fpmat import det, m_matrix
 from discdet.poly import FpPoly, XR_MINUS_X, discriminant, monomial_sum, special_discriminant
-from discdet.sets import Triple, enumerate_B, epsilon, g_exponent, in_B
+from discdet.sets import Triple, candidates, enumerate_B, enumerate_C, epsilon, g_exponent, in_B
 from discdet.verify3 import RangeStats, baseline_eps0, verify_prime, verify_range
 from discdet.verify3 import test_candidate as det_identity_holds
 from fractions import Fraction
@@ -84,6 +84,14 @@ def test_verify_range_stats_and_order():
     assert stats.maxima[1] == 0
 
 
+def test_verify_range_leaves_ctx_cache_alone():
+    # a range visits each prime once, so its contexts are built uncached
+    prime_ctx.cache_clear()
+    verify_range(3, 50)
+    info = prime_ctx.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (0, 0, 0)
+
+
 def test_verify_range_worker_determinism():
     serial, s_stats = verify_range(3, 100, workers=1)
     parallel, p_stats = verify_range(3, 100, workers=2)
@@ -101,20 +109,34 @@ def test_avg_str_rounding():
 
 
 def test_stage1_closed_form_matches_direct_det():
-    # the closed-form T1 decision agrees with evaluating det M_d((x^r-x)^e)
-    for p in (5, 7, 13, 31, 61):
+    # the integer kernel's candidates, per-class counts and T1 decisions
+    # agree with the reference enumerate_C + in_B + baseline_eps0, and for
+    # the smaller primes the T1 decisions agree with evaluating
+    # det M_d((x^r-x)^e) directly
+    for p in range(3, 300):
+        if not is_prime(p):
+            continue
         ctx = prime_ctx(p)
         rep = verify_prime(ctx)
         passed_t1 = {t.as_tuple() for t, _ in rep.stage_records}
-        direct = set()
-        from discdet.sets import enumerate_C
-
+        rows, closed, direct = [], set(), set()
+        counts = [0, 0, 0, 0]
         for j in (1, 2, 3, 4):
-            for t, _ in enumerate_C(j, ctx):
+            for t, cd in enumerate_C(j, ctx):
                 if in_B(t) is not None:
                     continue
-                f = monomial_sum(ctx, [(t.r, 1), (1, -1)])
+                counts[j - 1] += 1
+                gh = g_exponent(t).numerator // 2
+                rows.append((j, *t.as_tuple(), gh, cd))
                 d_xrx = special_discriminant(XR_MINUS_X, t.r, ctx)
-                if det_identity_holds(t, f, baseline_eps0(t), d_xrx):
-                    direct.add(t.as_tuple())
-        assert passed_t1 == direct, p
+                if cd == baseline_eps0(t) * pow(d_xrx, gh, p) % p:
+                    closed.add(t.as_tuple())
+                if p in (5, 7, 13, 31, 61):
+                    f = monomial_sum(ctx, [(t.r, 1), (1, -1)])
+                    if det_identity_holds(t, f, baseline_eps0(t), d_xrx):
+                        direct.add(t.as_tuple())
+        assert list(candidates(ctx)) == sorted(rows, key=lambda row: row[1:4]), p
+        assert rep.c_counts == tuple(counts), p
+        assert passed_t1 == closed, p
+        if p in (5, 7, 13, 31, 61):
+            assert passed_t1 == direct, p
