@@ -180,14 +180,9 @@ def m_matrix(f: FpPoly, e: int, d: int, strategy: str = "auto") -> FpMatrix:
     p = ctx.p
     if not 1 <= d <= p:
         raise ValueError(f"need 1 <= d <= p, got d={d}")
-    indices = sorted({i * p + j - d - 1 for i in range(1, d + 1) for j in range(1, d + 1)})
-    vals = dict(zip(indices, coeff_window(f, e, indices, strategy=strategy)))
-    data = [
-        vals[i * p + j - d - 1]
-        for i in range(1, d + 1)
-        for j in range(1, d + 1)
-    ]
-    return FpMatrix(ctx, d, d, data)
+    # Row i covers ip-d .. ip-1, so for d <= p the row-major indices ascend.
+    indices = [i * p + j - d - 1 for i in range(1, d + 1) for j in range(1, d + 1)]
+    return FpMatrix(ctx, d, d, coeff_window(f, e, indices, strategy=strategy))
 
 
 def scaled_m_matrix(f: FpPoly, e: int, d: int) -> FpMatrix:

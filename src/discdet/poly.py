@@ -4,7 +4,10 @@ Coefficients are stored ascending (index i = coefficient of x^i) with no
 trailing zeros; the zero polynomial has an empty coefficient list.
 """
 
-from .ff import PrimeCtx, multinom_mod_p
+from math import gcd
+from operator import mul
+
+from .ff import PrimeCtx
 
 # Below this length schoolbook multiplication wins; above it we pack the
 # operands into big integers (Kronecker substitution) and let CPython's
@@ -178,64 +181,73 @@ def poly_pow(f: FpPoly, e: int) -> FpPoly:
     return result
 
 
-def sparse_power_coeff(f: FpPoly, e: int, n: int) -> int:
-    """[x^n] f^e for f with at most 3 nonzero terms and e < p.
+def _sparse_window(f: FpPoly, e: int, indices):
+    """[x^n] f^e for each n in indices, for f with at most 3 nonzero terms
+    and e < p.
 
-    Multinomial expansion: with f = sum c_t x^{g_t}, the coefficient is a
-    sum of e!/(prod k_t!) * prod c_t^{k_t} over compositions with
-    sum k_t = e and sum k_t g_t = n.
+    Multinomial expansion: with f = sum c_t x^{g_t}, [x^n] f^e is
+    e! * sum prod c_t^{k_t} / k_t! over k_0 + k_1 + k_2 = e and
+    sum k_t g_t = n.  With b = (n - e g_0) / g, s = (g_1 - g_0) / g and
+    t = (g_2 - g_0) / g, where g = gcd(g_1 - g_0, g_2 - g_0), the solutions
+    form one progression: k_2 steps by s through the class b / t mod s,
+    k_1 = (b - k_2 t) / s steps by -t and k_0 by t - s.  Each coefficient
+    is then one sum over three strided slices of the c^k / k! tables.
     """
     ctx = f.ctx
-    terms = f.monomials()
-    if e >= ctx.p:
+    p = ctx.p
+    if e >= p:
         raise ValueError("multinomial path needs e < p")
-    if n < 0:
-        return 0
-    if not terms:
-        return 1 if (e == 0 and n == 0) else 0
-    if len(terms) == 1:
-        (g, c), = terms
-        return pow(c, e, ctx.p) if n == e * g else 0
-    if len(terms) == 2:
-        (g0, c0), (g1, c1) = terms
-        num = n - e * g0
-        den = g1 - g0
-        if num % den:
-            return 0
-        k = num // den
-        if not 0 <= k <= e:
-            return 0
-        return (
-            multinom_mod_p(ctx, e, (e - k, k))
-            * pow(c0, e - k, ctx.p)
-            * pow(c1, k, ctx.p)
-            % ctx.p
-        )
+    terms = f.monomials()
     if len(terms) > 3:
         raise ValueError("multinomial path supports at most 3 terms")
-    (g0, c0), (g1, c1), (g2, c2) = terms
-    # Solve k0 g0 + k1 g1 + k2 g2 = n with k0 + k1 + k2 = e by looping on k2.
-    out = 0
-    p = ctx.p
-    base = n - e * g0
-    d1, d2 = g1 - g0, g2 - g0
-    for k2 in range(min(e, base // d2 if d2 else e) + 1):
-        rest = base - k2 * d2
-        if rest < 0:
-            break
-        if rest % d1:
+    inv_fact = ctx.inv_fact
+    # tables[i][k] = c_i^k / k!; a unit coefficient reuses inv_fact as is.
+    tables = []
+    for _, c in terms:
+        if c == 1:
+            tables.append(inv_fact)
             continue
-        k1 = rest // d1
-        k0 = e - k1 - k2
-        if k1 < 0 or k0 < 0:
+        w, ck = [], 1
+        for k in range(e + 1):
+            w.append(ck * inv_fact[k] % p)
+            ck = ck * c % p
+        tables.append(w)
+    fe = ctx.fact[e]
+    g0 = terms[0][0]
+    if len(terms) == 1:
+        top = fe * tables[0][e] % p
+        return [top if n == e * g0 else 0 for n in indices]
+    out = []
+    if len(terms) == 2:
+        w0, w1 = tables
+        d1 = terms[1][0] - g0
+        for n in indices:
+            k1, rem = divmod(n - e * g0, d1)
+            out.append(fe * w0[e - k1] * w1[k1] % p if not rem and 0 <= k1 <= e else 0)
+        return out
+    w0, w1, w2 = tables
+    d1, d2 = terms[1][0] - g0, terms[2][0] - g0
+    g = gcd(d1, d2)
+    s, t = d1 // g, d2 // g
+    u = t - s
+    t_inv = pow(t, -1, s)
+    for n in indices:
+        b, rem = divmod(n - e * g0, g)
+        # k0 >= 0 bounds k2 below, k1 >= 0 bounds it above.
+        lo = max(0, -((e * s - b) // u))
+        lo += (b * t_inv - lo) % s
+        hi = min(e, b // t)
+        if rem or lo > hi:
+            out.append(0)
             continue
-        out += (
-            multinom_mod_p(ctx, e, (k0, k1, k2))
-            * pow(c0, k0, p)
-            * pow(c1, k1, p)
-            * pow(c2, k2, p)
-        ) % p
-    return out % p
+        k1 = (b - lo * t) // s
+        k0 = e - k1 - lo
+        count = (hi - lo) // s + 1
+        # map stops at the k2 slice, so k1's may run on down to k1 = 0.
+        acc = sum(map(mul, map(mul, w0[k0:k0 + count * u:u], w1[k1::-t]),
+                      w2[lo:hi + 1:s]))
+        out.append(fe * acc % p)
+    return out
 
 
 def _recurrence_coeffs(f: FpPoly, e: int, max_index: int):
@@ -298,7 +310,7 @@ def coeff_window(f: FpPoly, e: int, indices, strategy: str = "auto"):
             top = (indices[-1] if indices else 0) - val * e
             strategy = "recurrence" if top < f.ctx.p else "dense"
     if strategy == "sparse":
-        return [sparse_power_coeff(f, e, n) for n in indices]
+        return _sparse_window(f, e, indices)
     if strategy == "recurrence":
         shift, c = _recurrence_coeffs(f, e, indices[-1] if indices else 0)
         out = []
@@ -443,7 +455,8 @@ def discriminant_via_lift(f: FpPoly) -> int:
         rows.append([0] * i + dc + [0] * (size - i - m))
     res = _int_det_bareiss(rows)
     sign = -1 if (m * (m - 1) // 2) % 2 else 1
-    assert res % c[0] == 0
+    if res % c[0]:
+        raise ArithmeticError(f"Res(f, f') = {res} is not divisible by lc(f) = {c[0]}")
     return sign * (res // c[0]) % f.ctx.p
 
 
@@ -479,8 +492,6 @@ def trinomial_discriminant(ctx: PrimeCtx, n: int, m: int, a: int, b: int) -> int
     """
     if not 0 < m < n:
         raise ValueError("need 0 < m < n")
-    from math import gcd
-
     p = ctx.p
     d = gcd(n, m)
     N, M = n // d, m // d

@@ -100,7 +100,8 @@ def b_matrix(h: int, k: int, j: int) -> Ppm:
 def k_matrix(h: int, k: int) -> Ppm:
     """K(h, k): top-left (h+k-1) block of A_k (whose last row is e_{h+k})."""
     ak = a_matrix(h, k, k)
-    assert ak.sigma[-1] == h + k
+    if ak.sigma[-1] != h + k:
+        raise RuntimeError(f"A_k({h}, {k}) does not end in e_{h + k}")
     return validate(h, k, h + k - 1, ak.sigma[:-1])
 
 

@@ -266,7 +266,8 @@ def theorem1_check(t) -> dict:
         raise ScaleRefusal(f"desk scale is r <= 5, p <= 7; got {t}")
     ctx = t.ctx
     g = g_exponent(t)
-    assert g == 2 * t.e - (t.p - 1)
+    if g != 2 * t.e - (t.p - 1):
+        raise ArithmeticError(f"g = {g} on the B member {t}, not 2e - (p-1)")
     entries = symbolic_m_matrix(t.r, t.e, t.d, ctx)
     lhs = det_bareiss(entries)
     rhs = delta_power(t.r, int(g), ctx).scale(epsilon(t))

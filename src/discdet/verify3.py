@@ -26,7 +26,8 @@ from .poly import (
     special_discriminant,
     trinomial_discriminant,
 )
-# enumerate_C is not called here; perfbench/tracer.py wraps it under this module's name.
+# enumerate_C and g_exponent are not called here; perfbench/tracer.py wraps them
+# under this module's name.
 from .sets import Triple, candidates, det_xr1, enumerate_C, g_exponent, half_g, xr1_det  # noqa: F401
 
 STAGES = 4
@@ -72,7 +73,7 @@ def baseline_eps0(t: Triple) -> int:
 def test_candidate(t: Triple, f, eps0: int, delta: Optional[int] = None) -> bool:
     """True iff det M_d(f^e) = eps0 * Delta(f)^{g/2}."""
     p = t.p
-    gh = g_exponent(t).numerator // 2
+    gh = half_g(p, t.r, t.e, t.d)
     if delta is None:
         delta = discriminant(f)
     lhs = det(m_matrix(f, t.e, t.d))
@@ -115,13 +116,16 @@ def verify_prime(ctx: PrimeCtx) -> PrimeReport:
             disc_r = r
             inv_d1 = ctx.inv(special_discriminant(XR_MINUS_1, r, ctx))
             d_xrx = special_discriminant(XR_MINUS_X, r, ctx)
+            families = None  # built at this r's first T1 survivor
         eps0 = _eps0(xr1_det(ctx, r, e, d, gh), gh, inv_d1, p)
         if closed_det != eps0 * pow(d_xrx, gh, p) % p:
             continue
         t = Triple(ctx, r, e, d)
         t_counts[0] += 1
         stage = 1
-        for family in _stage_families(ctx, t.r):
+        if families is None:
+            families = _stage_families(ctx, r)
+        for family in families:
             if all(test_candidate(t, f, eps0, delta) for f, delta in family):
                 stage += 1
             else:

@@ -92,6 +92,14 @@ def test_m_matrix_entries_against_dense_power():
                     assert M[i - 1, j - 1] == fe.coeff(i * p + j - d - 1)
 
 
+def test_m_matrix_sparse_matches_dense_on_t1_survivors():
+    # (r, e, d) past T1 at p = 7561, from perfbench/data/direct_records.csv
+    ctx = prime_ctx(7561)
+    for r, e, d in ((5, 6552, 1), (5, 7432, 2), (21, 2540, 6)):
+        f = monomial_sum(ctx, [(r, 1), (1, 1), (0, 1)])
+        assert m_matrix(f, e, d) == m_matrix(f, e, d, strategy="dense"), (r, e, d)
+
+
 def test_m_matrix_rejects_bad_d():
     ctx = prime_ctx(5)
     f = monomial_sum(ctx, [(2, 1), (0, 1)])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from discdet.ff import prime_ctx
-from discdet.fpmat import det
+from discdet.fpmat import det, m_matrix
 from discdet.poly import (
     XR_MINUS_1,
     XR_MINUS_X,
@@ -77,23 +77,46 @@ def test_call_and_derivative():
     assert f.derivative().coeffs == [4, 0, 3]
 
 
-@settings(deadline=None, max_examples=40)
-@given(
-    st.sampled_from([5, 13, 101]),
-    st.lists(st.integers(0, 200), min_size=1, max_size=4),
-    st.integers(1, 30),
-)
-def test_coeff_window_strategies_agree(p, coeffs, e):
+@st.composite
+def window_cases(draw):
+    """(f, e, d, indices): f dense or with 1-3 terms, e up to p-1 (or past p
+    for small p), and indices that take every deg f-th coefficient, the
+    M_d(f^e) window, and a run across a multiple of p."""
+    p = draw(st.sampled_from([5, 13, 101, 211]))
     ctx = prime_ctx(p)
-    f = FpPoly(ctx, [c % p for c in coeffs])
+    if draw(st.booleans()):
+        f = FpPoly(ctx, draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=4)))
+    else:
+        # Support g0 + m * gap: shifted when g0 > 0; for 3 terms m divides gcd(d1, d2).
+        g0 = draw(st.integers(0, 4))
+        m = draw(st.integers(1, 3))
+        gaps = draw(st.lists(st.integers(1, 12), max_size=2, unique=True))
+        exps = [g0] + [g0 + m * gap for gap in gaps]
+        unit_or_any = st.one_of(st.just(1), st.integers(1, p - 1))
+        f = monomial_sum(ctx, [(g, draw(unit_or_any)) for g in exps])
     if f.is_zero():
-        return
-    indices = list(range(0, f.degree * e + 2, max(1, f.degree)))
+        f = FpPoly(ctx, [1])
+    e = draw(st.integers(1, max(p - 1, 30)))
+    deg = f.degree
+    d = draw(st.integers(1, min(p, deg + 1)))
+    k = draw(st.integers(1, deg * e // p + 1))
+    w = draw(st.integers(1, 6))
+    indices = set(range(0, deg * e + 2, max(1, deg)))
+    indices.update(i * p + j - d - 1 for i in range(1, d + 1) for j in range(1, d + 1))
+    indices.update(range(max(0, k * p - w), k * p + w))
+    return f, e, d, sorted(indices)
+
+
+@settings(deadline=None, max_examples=120)
+@given(window_cases())
+def test_coeff_window_strategies_agree(case):
+    f, e, d, indices = case
     dense = coeff_window(f, e, indices, strategy="dense")
-    if len(f.monomials()) <= 3 and e < p:
+    if len(f.monomials()) <= 3 and e < f.ctx.p:
         assert coeff_window(f, e, indices, strategy="sparse") == dense
     auto = coeff_window(f, e, indices, strategy="auto")
     assert auto == dense
+    assert m_matrix(f, e, d) == m_matrix(f, e, d, strategy="dense")
 
 
 def test_coeff_window_recurrence_path():
