@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 from .ff import PrimeCtx, binom_mod_p
 from .fpmat import FpMatrix, det, m_matrix
-from .poly import CharDividesDegree, FpPoly, discriminant, discriminant_via_lift
-from .symbolic import MultiPoly, ScaleRefusal, det_bareiss, exact_div, poly_power_coeffs
+from .poly import FpPoly, discriminant
+from .symbolic import MultiPoly, ScaleRefusal, det_bareiss, exact_div, m_entries
 
 GLYNN_SCALE_LIMIT = 10**7
 
@@ -75,13 +75,6 @@ def enumerate_E(ctx: PrimeCtx, r_max: int):
     ]
 
 
-def _disc(f: FpPoly) -> int:
-    try:
-        return discriminant(f)
-    except CharDividesDegree:
-        return discriminant_via_lift(f)
-
-
 def _det_m(f: FpPoly, e: int, d: int) -> int:
     return 1 if d == 0 else det(m_matrix(f, e, d))
 
@@ -101,7 +94,7 @@ def check_equality1(t: ETriple, f: FpPoly) -> dict:
     s0 = f.lead()
     a = d * (p - 1) - (r - 1) * e
     b = e - (p - 1) // 2
-    delta = _disc(f)
+    delta = discriminant(f)
     if delta == 0 and b != 0:
         raise NonInvertibleBase("discriminant is 0 but appears to a nonzero power")
 
@@ -139,24 +132,19 @@ def det_poly_in_s0(ctx: PrimeCtx, r: int, e: int, d: int, tail) -> MultiPoly:
     """
     if len(tail) != r:
         raise ValueError(f"tail must have length {r}")
-    p = ctx.p
     if d == 0:
         return MultiPoly.constant(ctx, 1, 1)
     ascending = [MultiPoly.constant(ctx, 1, tail[r - 1 - i]) for i in range(r)]
     ascending.append(MultiPoly.variable(ctx, 1, 0))
-    c = poly_power_coeffs(ascending, e, d * p - 1)
-    entries = [
-        [c[i * p + j - d - 1] for j in range(1, d + 1)]
-        for i in range(1, d + 1)
-    ]
-    return det_bareiss(entries)
+    return det_bareiss(m_entries(ascending, e, d))
 
 
 def disc_poly_in_s0(ctx: PrimeCtx, r: int, tail) -> MultiPoly:
-    """Discriminant of s0 x^r + tail as a polynomial in s0 (needs p not | r)."""
-    p = ctx.p
-    if r % p == 0:
-        raise CharDividesDegree(f"p = {p} divides r = {r}")
+    """Discriminant of s0 x^r + tail as a polynomial in s0.
+
+    The Sylvester rows take the derivative at formal degree r-1, so the
+    result also holds when p | r.
+    """
     if len(tail) != r:
         raise ValueError(f"tail must have length {r}")
     zero = MultiPoly(ctx, 1)

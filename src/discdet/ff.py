@@ -93,16 +93,6 @@ def binom_mod_p(ctx: PrimeCtx, n: int, k: int) -> int:
     return out
 
 
-def multinom_mod_p(ctx: PrimeCtx, n: int, parts) -> int:
-    """n! / prod(k_i!) mod p; requires n < p and sum(parts) == n."""
-    if n >= ctx.p or sum(parts) != n:
-        raise ValueError(f"multinomial needs n < p = {ctx.p} and parts summing to n = {n}")
-    out = ctx.fact[n]
-    for k in parts:
-        out = out * ctx.inv_fact[k] % ctx.p
-    return out
-
-
 def jacobi(k: int, d: int) -> int:
     """Jacobi symbol (k/d) for odd positive d; 0 iff gcd(k, d) > 1."""
     if d <= 0 or d % 2 == 0:
@@ -167,26 +157,3 @@ def rational_mod_p(ctx: PrimeCtx, q: Fraction) -> int:
         raise DenominatorVanishes(f"{q} has denominator divisible by {ctx.p}")
     return q.numerator % ctx.p * pow(den, ctx.p - 2, ctx.p) % ctx.p
 
-
-def rational_reconstruct(residue: int, p: int, bound: int):
-    """Wang-style rational reconstruction of residue mod p.
-
-    Returns the unique Fraction n/d with |n| <= bound, 0 < d <= bound and
-    n = residue * d (mod p), or None if no such fraction exists.  The
-    uniqueness regime is bound^2 <= p/2.
-    """
-    if not 0 <= residue < p:
-        raise ValueError("residue must lie in [0, p)")
-    # Truncated extended Euclid on (p, residue) tracking n = residue*d mod p.
-    r0, r1 = p, residue
-    d0, d1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        d0, d1 = d1, d0 - q * d1
-    n, d = r1, d1
-    if d < 0:
-        n, d = -n, -d
-    if d == 0 or d > bound or abs(n) > bound or gcd(abs(n), d) != 1:
-        return None
-    return Fraction(n, d)

@@ -174,33 +174,12 @@ def inverse(M: FpMatrix) -> FpMatrix:
     return FpMatrix(M.ctx, n, n, [a[i][n + j] for i in range(n) for j in range(n)])
 
 
-def m_matrix(f: FpPoly, e: int, d: int, strategy: str = "auto") -> FpMatrix:
+def m_matrix(f: FpPoly, e: int, d: int) -> FpMatrix:
     """The d x d matrix with entry (i, j) = [x^{ip+j-d-1}] f^e (1-based i, j)."""
     ctx = f.ctx
     p = ctx.p
     if not 1 <= d <= p:
         raise ValueError(f"need 1 <= d <= p, got d={d}")
-    # Row i covers ip-d .. ip-1, so for d <= p the row-major indices ascend.
     indices = [i * p + j - d - 1 for i in range(1, d + 1) for j in range(1, d + 1)]
-    return FpMatrix(ctx, d, d, coeff_window(f, e, indices, strategy=strategy))
+    return FpMatrix(ctx, d, d, coeff_window(f, e, indices))
 
-
-def scaled_m_matrix(f: FpPoly, e: int, d: int) -> FpMatrix:
-    """M_d(f^e) right-multiplied by diag of falling factorials mP_{p-d}.
-
-    Column j (1-based) is scaled by (p-d-1+j)(p-d-2+j)...(j), i.e.
-    m! / (j-1)! with m = p-d-1+j.
-    """
-    ctx = f.ctx
-    p = ctx.p
-    r = f.degree
-    if r * e > (d + 1) * (p - 1):
-        raise ValueError("need re <= (d+1)(p-1)")
-    M = m_matrix(f, e, d)
-    scales = [ctx.fact[p - d - 1 + j] * ctx.inv_fact[j - 1] % p for j in range(1, d + 1)]
-    data = list(M.data)
-    for i in range(d):
-        base = i * d
-        for j in range(d):
-            data[base + j] = data[base + j] * scales[j] % p
-    return FpMatrix(ctx, d, d, data)

@@ -15,14 +15,6 @@ from .ff import PrimeCtx
 _SCHOOLBOOK_CUTOFF = 64
 
 
-class CharDividesDegree(ArithmeticError):
-    """The resultant-based discriminant formula needs p to not divide deg f."""
-
-
-class RecurrenceUnavailable(ValueError):
-    """Coefficient recurrence cannot reach the requested index."""
-
-
 class FpPoly:
     __slots__ = ("ctx", "coeffs")
 
@@ -250,78 +242,23 @@ def _sparse_window(f: FpPoly, e: int, indices):
     return out
 
 
-def _recurrence_coeffs(f: FpPoly, e: int, max_index: int):
-    """Coefficients c_0..c_max of f^e by the holonomic recurrence.
-
-    From f * (f^e)' = e * f' * f^e:
-        a_0 k c_k = sum_{j=1..r} ((e+1) j - k) a_j c_{k-j}.
-    A power of x is factored out first so a_0 != 0; the recurrence is only
-    run while the shifted index stays below p (division by k).
-    """
-    ctx = f.ctx
-    p = ctx.p
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    val = 0
-    while f.coeffs[val] == 0:
-        val += 1
-    shift = val * e
-    a = f.coeffs[val:]
-    r = len(a) - 1
-    top = max_index - shift
-    if top >= p:
-        raise RecurrenceUnavailable(
-            f"index {max_index} needs shifted index {top} >= p = {p}"
-        )
-    inv_a0 = pow(a[0], p - 2, p)
-    c = [0] * (max(top, 0) + 1)
-    if top >= 0:
-        c[0] = pow(a[0], e, p)
-    for k in range(1, top + 1):
-        acc = 0
-        for j in range(1, min(r, k) + 1):
-            if a[j]:
-                acc += ((e + 1) * j - k) * a[j] * c[k - j]
-        c[k] = acc % p * pow(k, p - 2, p) % p * inv_a0 % p
-    return shift, c
-
-
-def coeff_window(f: FpPoly, e: int, indices, strategy: str = "auto"):
+def coeff_window(f: FpPoly, e: int, indices):
     """Selected coefficients of f^e, without materializing it when possible.
 
-    indices must be sorted ascending.  Strategies: "dense" expands f^e,
-    "recurrence" uses the holonomic recurrence (indices below p only),
-    "sparse" uses the multinomial expansion (<= 3 terms, e < p), "auto"
-    picks the cheapest applicable one.
+    f with at most 3 terms and e < p goes through the multinomial sweep;
+    any other f^e is expanded densely.
     """
     indices = list(indices)
-    if any(i < 0 for i in indices) or indices != sorted(indices):
-        raise ValueError("indices must be sorted and nonnegative")
+    if any(i < 0 for i in indices):
+        raise ValueError("indices must be nonnegative")
     if e == 0:
         return [1 if i == 0 else 0 for i in indices]
     if f.is_zero():
         return [0] * len(indices)
-    nterms = len(f.monomials())
-    if strategy == "auto":
-        if nterms <= 3 and e < f.ctx.p:
-            strategy = "sparse"
-        else:
-            val = next(i for i, a in enumerate(f.coeffs) if a)
-            top = (indices[-1] if indices else 0) - val * e
-            strategy = "recurrence" if top < f.ctx.p else "dense"
-    if strategy == "sparse":
+    if len(f.monomials()) <= 3 and e < f.ctx.p:
         return _sparse_window(f, e, indices)
-    if strategy == "recurrence":
-        shift, c = _recurrence_coeffs(f, e, indices[-1] if indices else 0)
-        out = []
-        for n in indices:
-            k = n - shift
-            out.append(c[k] if 0 <= k < len(c) else 0)
-        return out
-    if strategy == "dense":
-        g = poly_pow(f, e)
-        return [g.coeff(n) for n in indices]
-    raise ValueError(f"unknown strategy {strategy!r}")
+    g = poly_pow(f, e)
+    return [g.coeff(n) for n in indices]
 
 
 def sylvester(F: FpPoly, G: FpPoly):
@@ -395,69 +332,22 @@ def bezout_matrix(F: FpPoly, G: FpPoly):
 
 
 def discriminant(f: FpPoly) -> int:
-    """Discriminant via (-1)^{m(m-1)/2} Res(f, f') / lc(f)."""
-    m = f.degree
-    if m < 2:
-        raise ValueError("discriminant needs degree >= 2")
-    if m % f.ctx.p == 0:
-        raise CharDividesDegree(
-            f"p = {f.ctx.p} divides deg f = {m}; use a closed form instead"
-        )
-    p = f.ctx.p
-    fp = f.derivative()
-    if fp.is_zero():
-        return 0
-    res = resultant(f, fp)
-    sign = -1 if (m * (m - 1) // 2) % 2 else 1
-    return sign * res % p * pow(f.lead(), p - 2, p) % p
+    """Discriminant of f of degree m >= 2, for every p.
 
-
-def _int_det_bareiss(a) -> int:
-    """Exact integer determinant by fraction-free elimination."""
-    a = [list(r) for r in a]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def discriminant_via_lift(f: FpPoly) -> int:
-    """Discriminant by lifting to Z and specializing back mod p.
-
-    The discriminant is a universal polynomial in the coefficients, so the
-    value mod p of the integer discriminant of any lift agrees with the
-    characteristic-p discriminant whenever the leading coefficient is
-    nonzero.  Works in particular when p | deg f, where the Res-based
-    formula over F_p is unusable.
+    Res_{m,m-1}(f, f') = (-1)^{m(m-1)/2} lc(f) Delta(f) holds over Z, so
+    also mod p.  It takes f' at formal degree m-1; when p | m, f' has lower
+    degree k, and expanding the Sylvester determinant along its first column
+    gives Res_{m,m-1}(f, f') = lc(f)^{m-1-k} Res(f, f').
     """
     m = f.degree
     if m < 2:
         raise ValueError("discriminant needs degree >= 2")
-    c = list(reversed(f.coeffs))  # descending, c[0] = lead != 0
-    dc = [(m - i) * c[i] for i in range(m)]  # derivative over Z, descending
-    size = 2 * m - 1
-    rows = []
-    for i in range(m - 1):
-        rows.append([0] * i + c + [0] * (size - i - m - 1))
-    for i in range(m):
-        rows.append([0] * i + dc + [0] * (size - i - m))
-    res = _int_det_bareiss(rows)
+    p = f.ctx.p
+    fp = f.derivative()
+    if fp.is_zero():
+        return 0
     sign = -1 if (m * (m - 1) // 2) % 2 else 1
-    if res % c[0]:
-        raise ArithmeticError(f"Res(f, f') = {res} is not divisible by lc(f) = {c[0]}")
-    return sign * (res // c[0]) % f.ctx.p
+    return sign * resultant(f, fp) * pow(f.lead(), m - 2 - fp.degree, p) % p
 
 
 XR_MINUS_1 = "XR_MINUS_1"

@@ -244,16 +244,20 @@ def poly_power_coeffs(coeffs, e: int, max_index: int):
     return result[: max_index + 1]
 
 
-def symbolic_m_matrix(r: int, e: int, d: int, ctx: PrimeCtx):
-    """Entries of M_d(f^e) for the generic monic f, as MultiPoly in the roots."""
-    p = ctx.p
-    coeffs = generic_monic(r, ctx)
-    ascending = list(reversed(coeffs))  # index i = coefficient of x^i
+def m_entries(ascending, e: int, d: int):
+    """Entries of M_d(f^e), row by row, for f = sum ascending[i] x^i with
+    MultiPoly coefficients: entry (i, j) is [x^{ip+j-d-1}] f^e (1-based)."""
+    p = ascending[0].ctx.p
     c = poly_power_coeffs(ascending, e, d * p - 1)
     return [
         [c[i * p + j - d - 1] for j in range(1, d + 1)]
         for i in range(1, d + 1)
     ]
+
+
+def symbolic_m_matrix(r: int, e: int, d: int, ctx: PrimeCtx):
+    """Entries of M_d(f^e) for the generic monic f, as MultiPoly in the roots."""
+    return m_entries(list(reversed(generic_monic(r, ctx))), e, d)
 
 
 def theorem1_check(t) -> dict:

@@ -90,7 +90,7 @@ def _stage_families(ctx: PrimeCtx, r: int):
     # Delta(x(g(x))) = Delta(g) * g(0)^2 with g = x^{r-1}+x^{k-1}+1; g(0)=1.
     t3 = [
         (monomial_sum(ctx, [(r, 1), (k, 1), (1, 1)]),
-         trinomial_discriminant(ctx, r - 1, k - 1, 1, 1) if r > 2 else None)
+         trinomial_discriminant(ctx, r - 1, k - 1, 1, 1))
         for k in range(2, r)
     ]
     t4 = [

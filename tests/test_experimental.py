@@ -135,12 +135,13 @@ def test_det_poly_in_s0_specializes():
 def test_disc_poly_in_s0_specializes():
     from discdet.poly import discriminant
 
-    ctx = prime_ctx(11)
-    tail = [3, 1, 7]
-    dpoly = disc_poly_in_s0(ctx, 3, tail)
-    for s0 in range(1, 11):
-        f = FpPoly(ctx, list(reversed(tail)) + [s0])
-        assert dpoly.evaluate([s0]) == discriminant(f)
+    # p = 3, r = 3 takes discriminant's p | deg f branch
+    for p, tail in ((11, [3, 1, 7]), (3, [1, 2, 1])):
+        ctx = prime_ctx(p)
+        dpoly = disc_poly_in_s0(ctx, 3, tail)
+        for s0 in range(1, p):
+            f = FpPoly(ctx, list(reversed(tail)) + [s0])
+            assert dpoly.evaluate([s0]) == discriminant(f)
 
 
 def test_valuation_helpers():

@@ -1,7 +1,10 @@
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "discdet"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "discdet"
 
 
 def test_library_has_no_assert_statements():
@@ -12,3 +15,21 @@ def test_library_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_benchmark_tracer_hook_points_resolve():
+    # perfbench/tracer.py swaps each WRAPPED (module, attribute path) through
+    # __dict__; a renamed or deleted name would break traced benchmark runs.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module, path, _, _ in tracer.WRAPPED:
+        owner = importlib.import_module(module)
+        try:
+            for name in path.split("."):
+                owner = owner.__dict__[name]
+        except KeyError:
+            missing.append(f"{module}.{path}")
+    assert missing == []

@@ -1,6 +1,5 @@
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from discdet.ff import prime_ctx
@@ -9,11 +8,9 @@ from discdet.poly import (
     XR_MINUS_1,
     XR_MINUS_X,
     XR_MINUS_X_MINUS_1,
-    CharDividesDegree,
     FpPoly,
     coeff_window,
     discriminant,
-    discriminant_via_lift,
     divmod_poly,
     monomial_sum,
     poly_pow,
@@ -111,22 +108,14 @@ def window_cases(draw):
 @given(window_cases())
 def test_coeff_window_strategies_agree(case):
     f, e, d, indices = case
-    dense = coeff_window(f, e, indices, strategy="dense")
-    if len(f.monomials()) <= 3 and e < f.ctx.p:
-        assert coeff_window(f, e, indices, strategy="sparse") == dense
-    auto = coeff_window(f, e, indices, strategy="auto")
-    assert auto == dense
-    assert m_matrix(f, e, d) == m_matrix(f, e, d, strategy="dense")
-
-
-def test_coeff_window_recurrence_path():
-    ctx = prime_ctx(199523)
-    f = monomial_sum(ctx, [(3, 1), (1, -1)])  # x^3 - x
-    e = 66507
-    idx = [199522, 199523, 199524]
-    assert coeff_window(f, e, idx, strategy="recurrence") == coeff_window(
-        f, e, idx, strategy="sparse"
-    )
+    fe = poly_pow(f, e)
+    dense = [fe.coeff(n) for n in indices]
+    assert coeff_window(f, e, indices) == dense
+    # indices need not be sorted
+    assert coeff_window(f, e, reversed(indices)) == dense[::-1]
+    p = f.ctx.p
+    window = [fe.coeff(i * p + j - d - 1) for i in range(1, d + 1) for j in range(1, d + 1)]
+    assert m_matrix(f, e, d).data == window
 
 
 def test_resultant_equals_sylvester_det():
@@ -160,36 +149,29 @@ def test_discriminant_quadratic_cubic():
         assert discriminant(f) == (-4 * u**3 - 27 * v * v) % 101
 
 
-def test_discriminant_refuses_p_dividing_degree():
+def test_discriminant_at_p_dividing_degree():
+    # x^5 + x + 1 at p = 5: f' = 1, so Delta = Res(f, 1) lc^{5-2-0} = 1, and
+    # the integer discriminant 5^5 + 4^4 = 3381 is 1 mod 5.
     ctx = prime_ctx(5)
-    with pytest.raises(CharDividesDegree):
-        discriminant(monomial_sum(ctx, [(5, 1), (1, 1), (0, 1)]))
-
-
-def test_discriminant_via_lift_agrees():
-    rng = random.Random(6)
-    for p in (5, 7, 13):
-        ctx = prime_ctx(p)
-        for _ in range(40):
-            deg = rng.randrange(2, 7)
-            if deg % p == 0:
-                continue
-            f = rand_poly(ctx, deg, rng)
-            assert discriminant_via_lift(f) == discriminant(f)
+    assert discriminant(monomial_sum(ctx, [(5, 1), (1, 1), (0, 1)])) == 1
+    # f' = 0 when every exponent is a multiple of p: f is a p-th power.
+    assert discriminant(monomial_sum(ctx, [(10, 2), (5, 1), (0, 3)])) == 0
 
 
 def test_discriminant_product_rule():
-    # disc(FG) = disc(F) disc(G) Res(F, G)^2
+    # disc(FG) = disc(F) disc(G) Res(F, G)^2; p | deg FG is checked against
+    # factors whose degree p does not divide.
     rng = random.Random(8)
-    ctx = prime_ctx(101)
-    for _ in range(30):
-        f = rand_poly(ctx, rng.randrange(2, 5), rng)
-        g = rand_poly(ctx, rng.randrange(2, 5), rng)
-        if (f.degree + g.degree) % 101 == 0:
-            continue
-        lhs = discriminant(f * g)
-        rhs = discriminant(f) * discriminant(g) * pow(resultant(f, g), 2, 101) % 101
-        assert lhs == rhs
+    for p in (3, 5, 7, 101):
+        ctx = prime_ctx(p)
+        for _ in range(2000):
+            f = rand_poly(ctx, rng.randrange(2, 7), rng)
+            g = rand_poly(ctx, rng.randrange(2, 7), rng)
+            if f.degree % p == 0 or g.degree % p == 0:
+                continue
+            lhs = discriminant(f * g)
+            rhs = discriminant(f) * discriminant(g) * pow(resultant(f, g), 2, p) % p
+            assert lhs == rhs, (p, f, g)
 
 
 def test_res_disc_relations():
@@ -227,13 +209,12 @@ def test_special_discriminants_match_direct():
 
 
 def test_special_discriminant_xr_x_1_lift():
-    # needs p | r; compare against the integer-lift discriminant
+    # the closed form needs p | r, so it checks discriminant's p | deg f branch
     for p in (3, 5, 7):
         ctx = prime_ctx(p)
         for r in (p, 2 * p):
             f = monomial_sum(ctx, [(r, 1), (1, -1), (0, -1)])
-            assert special_discriminant(XR_MINUS_X_MINUS_1, r, ctx) == \
-                discriminant_via_lift(f)
+            assert special_discriminant(XR_MINUS_X_MINUS_1, r, ctx) == discriminant(f)
 
 
 def test_trinomial_discriminant_matches_resultant():
@@ -245,10 +226,7 @@ def test_trinomial_discriminant_matches_resultant():
             m = rng.randrange(1, n)
             a, b = rng.randrange(1, p), rng.randrange(1, p)
             f = monomial_sum(ctx, [(n, 1), (m, a), (0, b)])
-            want = (
-                discriminant(f) if n % p else discriminant_via_lift(f)
-            )
-            assert trinomial_discriminant(ctx, n, m, a, b) == want
+            assert trinomial_discriminant(ctx, n, m, a, b) == discriminant(f)
 
 
 def test_poly_pow_matches_repeated_mul():
