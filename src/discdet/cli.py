@@ -127,7 +127,13 @@ def _cmd_th1sym(args) -> int:
 
 def _cmd_th5(args) -> int:
     from .poly import FpPoly
-    from .theorem5 import StructuredSpec, check_aux_lemmas, check_theorem5, random_spec
+    from .theorem5 import (
+        SingularM,
+        StructuredSpec,
+        check_aux_lemmas,
+        check_theorem5,
+        random_spec,
+    )
 
     ctx = prime_ctx(args.p)
     specs = []
@@ -136,7 +142,15 @@ def _cmd_th5(args) -> int:
         if len(tail) != args.r:
             raise ValueError(f"--coeffs needs exactly {args.r} values")
         f = FpPoly(ctx, list(reversed(tail)) + [1])
-        specs.append(StructuredSpec(ctx, args.r, args.e, f))
+        spec = StructuredSpec(ctx, args.r, args.e, f)
+        try:
+            spec.quotient
+        except SingularM:
+            # f is the user's input, so a singular M_d(f^e) is a usage error.
+            raise ValueError(
+                f"--coeffs {args.coeffs}: M_{args.r - 1}(f^{args.e}) is singular"
+            ) from None
+        specs.append(spec)
     else:
         rng = random.Random(args.seed)
         specs = [random_spec(ctx, args.r, args.e, rng) for _ in range(args.trials)]

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from .ff import PrimeCtx, binom_mod_p
 from .fpmat import FpMatrix, det, m_matrix
 from .poly import FpPoly, discriminant
+from .sets import Triple
 from .symbolic import MultiPoly, ScaleRefusal, det_bareiss, exact_div, m_entries
 
 GLYNN_SCALE_LIMIT = 10**7
@@ -29,25 +30,9 @@ class SingularA(ArithmeticError):
     pass
 
 
-@dataclass(frozen=True)
-class ETriple:
-    ctx: PrimeCtx
-    r: int
-    e: int
-    d: int
-
-    @property
-    def p(self) -> int:
-        return self.ctx.p
-
-    def as_tuple(self):
-        return (self.r, self.e, self.d)
-
-    def hat(self) -> "ETriple":
-        return ETriple(self.ctx, self.r, self.p - 1 - self.e, self.r - 1 - self.d)
-
-    def __repr__(self):
-        return f"ETriple(p={self.p}, r={self.r}, e={self.e}, d={self.d})"
+def hat(t: Triple) -> Triple:
+    """The involution (r, e, d) -> (r, p-1-e, r-1-d) of E(p)."""
+    return Triple(t.ctx, t.r, t.p - 1 - t.e, t.r - 1 - t.d)
 
 
 def in_E(ctx: PrimeCtx, r: int, e: int, d: int) -> bool:
@@ -67,7 +52,7 @@ def enumerate_E(ctx: PrimeCtx, r_max: int):
     if r_max < 2:
         raise ValueError("need r_max >= 2")
     return [
-        ETriple(ctx, r, e, d)
+        Triple(ctx, r, e, d)
         for r in range(2, r_max + 1)
         for e in range(ctx.p)
         for d in range(r)
@@ -79,7 +64,7 @@ def _det_m(f: FpPoly, e: int, d: int) -> int:
     return 1 if d == 0 else det(m_matrix(f, e, d))
 
 
-def check_equality1(t: ETriple, f: FpPoly) -> dict:
+def check_equality1(t: Triple, f: FpPoly) -> dict:
     """det M_d(f^e) / det M_{d_hat}(f^{e_hat}) = eps * s0^a * delta^b.
 
     Here a = d(p-1)-(r-1)e, b = e-(p-1)/2, eps is the explicit sign and
@@ -99,7 +84,7 @@ def check_equality1(t: ETriple, f: FpPoly) -> dict:
         raise NonInvertibleBase("discriminant is 0 but appears to a nonzero power")
 
     lhs = _det_m(f, e, d)
-    th = t.hat()
+    th = hat(t)
     rhs_det = _det_m(f, th.e, th.d)
     if rhs_det == 0:
         raise SingularDenominator(f"det M_{th.d}(f^{th.e}) = 0")

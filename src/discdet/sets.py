@@ -291,14 +291,6 @@ def candidates(ctx: PrimeCtx):
             yield j, r, e, d, gh, det
 
 
-def det_xrx_rm2(t: Triple, l: int) -> int:
-    """Closed-form det M_{r-2}((x^r-x)^e) with e = (r-1)(s+l)."""
-    p, r, e, d = t.p, t.r, t.e, t.d
-    if d != r - 2 or e != (r - 1) * ((p - 1) // r + l):
-        raise ValueError(f"{t} is not the d = r-2 member with l = {l}")
-    return _xrx_det(t.ctx, 4, r, e, d, l, half_g(p, r, e, d))
-
-
 def kappa(s: int, l: int) -> Fraction:
     """(-1/(s+1))^l * l(l+s)...(l+(l-1)s) / (s(s-1)...(s-l+1))."""
     if not 1 <= l <= s:

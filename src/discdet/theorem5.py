@@ -9,10 +9,11 @@ in zeta_i = n / (rn - (r - i)) with n = p - 1 - e.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .ff import PrimeCtx, rational_mod_p
 from .poly import FpPoly, bezout_matrix, discriminant, poly_pow
-from .fpmat import FpMatrix, det, inverse, m_matrix
+from .fpmat import FpMatrix, Singular, det, inverse, m_matrix
 from .sets import Triple, in_B, B_ZERO
 
 
@@ -56,6 +57,30 @@ class StructuredSpec:
     def s(self, i: int) -> int:
         """s_i = coefficient of x^{r-i}; zero outside 0..r."""
         return self.f.coeff(self.r - i) if 0 <= i <= self.r else 0
+
+    # Derived once per spec; every check reads them from here.
+    @cached_property
+    def Me(self) -> FpMatrix:
+        """M_d(f^e)."""
+        return m_matrix(self.f, self.e, self.d)
+
+    @cached_property
+    def Me1(self) -> FpMatrix:
+        """M_d(f^{e+1})."""
+        return m_matrix(self.f, self.e + 1, self.d)
+
+    @cached_property
+    def quotient(self) -> FpMatrix:
+        """M_d(f^e)^{-1} M_d(f^{e+1}); raises SingularM when det M_d(f^e) = 0."""
+        try:
+            return inverse(self.Me) @ self.Me1
+        except Singular:
+            raise SingularM("det M_d(f^e) = 0; resample f") from None
+
+    @cached_property
+    def factors(self):
+        """(B, Q, Z, P), as built by build_PQZB."""
+        return build_PQZB(self)
 
 
 def admissible_pairs(ctx: PrimeCtx):
@@ -159,56 +184,43 @@ def psi_series(ctx: PrimeCtx, s, m: int):
     return out
 
 
+def _zeta_diag(spec: StructuredSpec, m: int) -> FpMatrix:
+    """diag(zeta_1..zeta_m), zeta_i = n / (rn - (r - i))."""
+    ctx, r, n = spec.ctx, spec.r, spec.n
+    zeta = [rational_mod_p(ctx, Fraction(n, r * n - (r - i))) for i in range(1, m + 1)]
+    return FpMatrix(ctx, m, m, [zeta[i] if i == j else 0 for i in range(m) for j in range(m)])
+
+
 def build_PQZB(spec: StructuredSpec):
     """The four (r-1) x (r-1) factors B_r, Q_r, Z_{r,n}, P_r."""
-    ctx, r, n = spec.ctx, spec.r, spec.n
+    ctx, r, d = spec.ctx, spec.r, spec.d
     p = ctx.p
-    d = spec.d
     s = [spec.s(i) for i in range(r + 1)]
     fp = spec.f.derivative()
     # f - (1/r) x f'
     inv_r = pow(r % p, p - 2, p)
     g = spec.f - FpPoly(ctx, [0] + [c * inv_r % p for c in fp.coeffs])
-    bez = bezout_matrix(fp, g)
-    rev = FpMatrix.from_rows(ctx, [[1 if i + j == d - 1 else 0 for j in range(d)] for i in range(d)])
-    B = rev @ bez
+    B = FpMatrix.from_rows(ctx, bezout_matrix(fp, g).to_rows()[::-1])
     Q = q_matrix(ctx, s, [Fraction(-j, r) for j in range(1, d + 1)])
     P = p_matrix(ctx, s, [Fraction(-(r - i), r) for i in range(1, d + 1)])
-    zeta = [
-        rational_mod_p(ctx, Fraction(n, r * n - (r - i))) for i in range(1, d + 1)
-    ]
-    Z = FpMatrix.from_rows(
-        ctx, [[zeta[i] if i == j else 0 for j in range(d)] for i in range(d)]
-    )
-    return B, Q, Z, P
+    return B, Q, _zeta_diag(spec, d), P
 
 
 def check_theorem5(spec: StructuredSpec) -> dict:
     """Compare M_d(f^e)^{-1} M_d(f^{e+1}) with B_r Q_r Z_{r,n} P_r entrywise."""
-    d = spec.d
-    Me = m_matrix(spec.f, spec.e, d)
-    if det(Me) == 0:
-        raise SingularM("det M_d(f^e) = 0; resample f")
-    Me1 = m_matrix(spec.f, spec.e + 1, d)
-    lhs = inverse(Me) @ Me1
-    B, Q, Z, P = build_PQZB(spec)
+    lhs = spec.quotient
+    B, Q, Z, P = spec.factors
     rhs = B @ Q @ Z @ P
     return {"holds": lhs == rhs, "lhs": lhs, "rhs": rhs}
-
-
-def _coeff_dict(spec: StructuredSpec, e: int, indices):
-    g = poly_pow(spec.f, e)
-    return {i: g.coeff(i) for i in indices}
 
 
 def build_LVR(spec: StructuredSpec):
     """L (d x (r+d)), V ((r+d) x d), R ((r+d) x r) of the elimination route."""
     ctx, r, d, p, n = spec.ctx, spec.r, spec.d, spec.p, spec.n
-    idx = {i * p + j - 2 * r for i in range(1, d + 1) for j in range(1, r + d + 1)}
-    c = _coeff_dict(spec, spec.e, idx)
+    fe = poly_pow(spec.f, spec.e)
     L = FpMatrix.from_rows(
         ctx,
-        [[c[i * p + j - 2 * r] for j in range(1, r + d + 1)] for i in range(1, d + 1)],
+        [[fe.coeff(i * p + j - 2 * r) for j in range(1, r + d + 1)] for i in range(1, d + 1)],
     )
     V = FpMatrix.from_rows(
         ctx, [[spec.s(i - j) for j in range(1, d + 1)] for i in range(1, r + d + 1)]
@@ -232,14 +244,8 @@ def claimed_r1_inverse(spec: StructuredSpec) -> FpMatrix:
     s = [spec.s(i) for i in range(r + 1)]
     Q = q_matrix(ctx, s, [Fraction(r - j, r) for j in range(1, r + 1)])
     P = p_matrix(ctx, s, [Fraction(-(2 * r - i), r) for i in range(1, r + 1)])
-    zeta = [
-        rational_mod_p(ctx, Fraction(n, r * n - (r - i))) for i in range(1, r + 1)
-    ]
-    Z = FpMatrix.from_rows(
-        ctx, [[zeta[i] if i == j else 0 for j in range(r)] for i in range(r)]
-    )
     n_inv = pow(n % ctx.p, ctx.p - 2, ctx.p)
-    return (Q @ Z @ P).scale(n_inv)
+    return (Q @ _zeta_diag(spec, r) @ P).scale(n_inv)
 
 
 def r_um(spec: StructuredSpec) -> FpMatrix:
@@ -284,21 +290,17 @@ def check_aux_lemmas(spec: StructuredSpec) -> dict:
     """Numeric checks of the elimination-route identities; keyed by name."""
     ctx, r, d = spec.ctx, spec.r, spec.d
     L, V, R = build_LVR(spec)
-    Me = m_matrix(spec.f, spec.e, d)
-    if det(Me) == 0:
-        raise SingularM("det M_d(f^e) = 0; resample f")
-    Me1 = m_matrix(spec.f, spec.e + 1, d)
     report = {}
-    report["LV=M_next"] = (L @ V) == Me1
+    report["LV=M_next"] = (L @ V) == spec.Me1
     report["LR=0"] = (L @ R) == FpMatrix(ctx, d, r, [0] * (d * r))
     R1 = R.submatrix(0, r, 0, r)
     R2 = R.submatrix(r, r + d, 0, r)
     R1inv = claimed_r1_inverse(spec)
     report["R1_inverse"] = (R1 @ R1inv) == FpMatrix.identity(ctx, r)
-    B, _, _, _ = build_PQZB(spec)
-    report["formula_Br"] = formula_br_lhs(spec) == B
-    bracket_row = (R2 @ inverse(R1)).scale(-1).hstack(FpMatrix.identity(ctx, d))
-    report["bracket_V=quotient"] = (bracket_row @ V) == (inverse(Me) @ Me1)
+    report["formula_Br"] = formula_br_lhs(spec) == spec.factors[0]
+    quot = R2 @ inverse(R1)
+    bracket_row = quot.scale(-1).hstack(FpMatrix.identity(ctx, d))
+    report["bracket_V=quotient"] = (bracket_row @ V) == spec.quotient
     # Reduction modulo the zeta ideal.
     Rum = r_um(spec)
     R1um = Rum.submatrix(0, r, 0, r)
@@ -307,7 +309,7 @@ def check_aux_lemmas(spec: StructuredSpec) -> dict:
     report["um_bracket_V=0"] = (
         quot_um.scale(-1).hstack(FpMatrix.identity(ctx, d)) @ V
     ) == FpMatrix(ctx, d, d, [0] * (d * d))
-    diff = (R2 @ inverse(R1)) - quot_um
+    diff = quot - quot_um
     report["um_last_column_0"] = all(
         diff[(i, r - 1)] == 0 for i in range(d)
     )
@@ -317,7 +319,7 @@ def check_aux_lemmas(spec: StructuredSpec) -> dict:
 
 def det_br_identity(spec: StructuredSpec) -> bool:
     """det B_r = (-1)^{r(r-1)/2} (1/r) Delta(f)."""
-    B, _, _, _ = build_PQZB(spec)
+    B = spec.factors[0]
     p, r = spec.p, spec.r
     sign = -1 if (r * (r - 1) // 2) % 2 else 1
     want = sign * pow(r % p, p - 2, p) * discriminant(spec.f) % p
@@ -331,7 +333,10 @@ def random_spec(ctx: PrimeCtx, r: int, e: int, rng, retries: int = 100) -> Struc
         f = FpPoly(ctx, [rng.randrange(p) for _ in range(r)] + [1])
         if discriminant(f) == 0:
             continue
-        if det(m_matrix(f, e, r - 1)) == 0:
+        spec = StructuredSpec(ctx, r, e, f)
+        try:
+            spec.quotient
+        except SingularM:
             continue
-        return StructuredSpec(ctx, r, e, f)
+        return spec
     raise SingularM(f"no admissible f found in {retries} tries at p={p}, r={r}, e={e}")

@@ -4,7 +4,6 @@ import pytest
 
 from discdet.experimental import (
     CoeffQuery,
-    ETriple,
     NonInvertibleBase,
     SingularA,
     SingularDenominator,
@@ -18,12 +17,14 @@ from discdet.experimental import (
     disc_poly_in_s0,
     enumerate_E,
     glynn_coeff,
+    hat,
     in_E,
     s0_valuation,
 )
 from discdet.ff import prime_ctx
 from discdet.fpmat import FpMatrix, det
 from discdet.poly import FpPoly
+from discdet.sets import Triple
 from discdet.symbolic import MultiPoly, ScaleRefusal
 
 
@@ -55,16 +56,16 @@ def test_hat_involution():
         members = enumerate_E(ctx, 5)
         keys = {t.as_tuple() for t in members}
         for t in members:
-            h = t.hat()
+            h = hat(t)
             assert h.as_tuple() in keys
-            assert h.hat() == t
-    assert ETriple(prime_ctx(5), 3, 1, 0).hat().as_tuple() == (3, 3, 2)
+            assert hat(h) == t
+    assert hat(Triple(prime_ctx(5), 3, 1, 0)).as_tuple() == (3, 3, 2)
 
 
 def test_equality1_self_dual_case():
     # e = (p-1)/2 with d = d_hat: both determinants coincide, ratio is eps = 1
     ctx = prime_ctx(5)
-    t = ETriple(ctx, 3, 2, 1)
+    t = Triple(ctx, 3, 2, 1)
     rng = random.Random(0)
     for _ in range(5):
         rep = checked_eq1(t, rng)
@@ -75,7 +76,7 @@ def test_equality1_reduces_to_theorem1():
     # (p=5, r=2, e=3, d=1) lies in B0; the ratio identity holds there
     ctx = prime_ctx(5)
     rng = random.Random(1)
-    rep = checked_eq1(ETriple(ctx, 2, 3, 1), rng)
+    rep = checked_eq1(Triple(ctx, 2, 3, 1), rng)
     assert rep["holds"]
 
 
@@ -91,7 +92,7 @@ def test_equality1_sweep():
 def test_equality1_rejects_p2():
     with pytest.raises(ValueError):
         check_equality1(
-            ETriple(prime_ctx(2), 2, 1, 0), FpPoly(prime_ctx(2), [1, 1, 1])
+            Triple(prime_ctx(2), 2, 1, 0), FpPoly(prime_ctx(2), [1, 1, 1])
         )
 
 

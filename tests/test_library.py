@@ -17,15 +17,20 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
-def test_benchmark_tracer_hook_points_resolve():
-    # perfbench/tracer.py swaps each WRAPPED (module, attribute path) through
-    # __dict__; a renamed or deleted name would break traced benchmark runs.
+def _tracer_wrapped():
+    """perfbench/tracer.py's WRAPPED list, loaded by path."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer.WRAPPED
+
+
+def test_benchmark_tracer_hook_points_resolve():
+    # perfbench/tracer.py swaps each WRAPPED (module, attribute path) through
+    # __dict__; a renamed or deleted name would break traced benchmark runs.
     missing = []
-    for module, path, _, _ in tracer.WRAPPED:
+    for module, path, _, _ in _tracer_wrapped():
         owner = importlib.import_module(module)
         try:
             for name in path.split("."):
@@ -33,3 +38,23 @@ def test_benchmark_tracer_hook_points_resolve():
         except KeyError:
             missing.append(f"{module}.{path}")
     assert missing == []
+
+
+def test_library_has_no_unused_imports():
+    # A name the benchmark tracer swaps in a module counts as used there.
+    hooked = {(module, path.split(".")[0]) for module, path, _, _ in _tracer_wrapped()}
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported.setdefault(name, node.lineno)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used and (f"discdet.{path.stem}", name) not in hooked]
+    assert unused == []

@@ -176,15 +176,13 @@ def test_ranges_the_kernel_skips_lie_in_B():
 def test_invariants_raise_under_python_O():
     script = textwrap.dedent("""
         import sys
-        from discdet.ff import prime_ctx
-        from discdet.sets import BadExponent, Triple, det_xrx_rm2, half_g
+        from discdet.sets import BadExponent, half_g
 
         if __debug__:
             sys.exit("not running under -O")
         checks = [
             (BadExponent, half_g, (7, 3, 3, 1)),  # g = 1, odd
             (BadExponent, half_g, (7, 4, 5, 1)),  # g = 7/3
-            (ValueError, det_xrx_rm2, (Triple(prime_ctx(7), 4, 6, 2), 0)),
         ]
         for exc, fn, args in checks:
             try:

@@ -6,7 +6,9 @@ import pytest
 from discdet.ff import prime_ctx, rational_mod_p
 from discdet.fpmat import FpMatrix, det, inverse, m_matrix
 from discdet.poly import FpPoly, discriminant, monomial_sum
+from discdet import theorem5
 from discdet.theorem5 import (
+    SingularM,
     StructuredSpec,
     admissible_pairs,
     beta,
@@ -117,6 +119,36 @@ def test_check_aux_lemmas_pinned_cases():
     spec = random_spec(prime_ctx(13), 4, 10, rng)
     rep = check_aux_lemmas(spec)
     assert rep["holds"], rep
+
+
+def test_spec_derives_its_matrices_once(monkeypatch):
+    # random_spec and both checks share one M_d(f^e), one M_d(f^{e+1}) and
+    # one inversion of M_d(f^e).
+    built, inverted = [], []
+    real_m, real_inverse = theorem5.m_matrix, theorem5.inverse
+
+    def counting_m(f, e, d):
+        built.append((f, e, d))
+        return real_m(f, e, d)
+
+    def counting_inverse(M):
+        inverted.append(M)
+        return real_inverse(M)
+
+    monkeypatch.setattr(theorem5, "m_matrix", counting_m)
+    monkeypatch.setattr(theorem5, "inverse", counting_inverse)
+    spec = random_spec(prime_ctx(13), 4, 10, random.Random(2))
+    assert check_theorem5(spec)["holds"]
+    assert check_aux_lemmas(spec)["holds"]
+    assert sorted((e, d) for f, e, d in built if f == spec.f) == [(10, 3), (11, 3)]
+    assert sum(M == spec.Me for M in inverted) == 1
+
+
+def test_singular_m_raises_from_both_checks():
+    spec = make_spec(7, 3, 4, [0, 0, 0])  # f = x^3: det M_2(f^4) = 0
+    for check in (check_theorem5, check_aux_lemmas):
+        with pytest.raises(SingularM):
+            check(spec)
 
 
 def test_formula_br_r2_reduces_to_scalar_bezout():
