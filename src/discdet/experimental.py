@@ -9,7 +9,7 @@ numerically; neither is proved.
 
 from dataclasses import dataclass
 
-from .ff import PrimeCtx, binom_mod_p
+from .ff import PrimeCtx, binom
 from .fpmat import FpMatrix, det, m_matrix
 from .poly import FpPoly, discriminant
 from .sets import Triple
@@ -214,7 +214,7 @@ def check_s0_structure(ctx: PrimeCtx, r: int, e: int, d: int, tail) -> dict:
         lead = dp.terms.get((a,), 0)
         m = r * e - d * (p - 1)
         rhs = (
-            binom_mod_p(ctx, e, m)
+            binom(ctx, e, m)
             * pow(tail[0] % p, m, p)
             * _det_m(f1, e, d - 1)
             % p

@@ -77,20 +77,12 @@ def prime_ctx(p: int) -> PrimeCtx:
     return PrimeCtx(p)
 
 
-def binom_mod_p(ctx: PrimeCtx, n: int, k: int) -> int:
-    """C(n, k) mod p via Lucas decomposition into base-p digits."""
+def binom(ctx: PrimeCtx, n: int, k: int) -> int:
+    """C(n, k) mod p for 0 <= n < p, read from the factorial tables; 0 unless
+    0 <= k <= n."""
     if k < 0 or k > n:
         return 0
-    p = ctx.p
-    out = 1
-    while n > 0 or k > 0:
-        nd, kd = n % p, k % p
-        if kd > nd:
-            return 0
-        out = out * ctx.fact[nd] % p * ctx.inv_fact[kd] % p * ctx.inv_fact[nd - kd] % p
-        n //= p
-        k //= p
-    return out
+    return ctx.fact[n] * ctx.inv_fact[k] * ctx.inv_fact[n - k] % ctx.p
 
 
 def jacobi(k: int, d: int) -> int:

@@ -74,16 +74,6 @@ class FpMatrix:
                         out[orow + j] += a * other.data[obase + j]
         return FpMatrix(self.ctx, n, m, [v % p for v in out])
 
-    def __add__(self, other: "FpMatrix") -> "FpMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch")
-        return FpMatrix(
-            self.ctx,
-            self.rows,
-            self.cols,
-            [a + b for a, b in zip(self.data, other.data)],
-        )
-
     def __sub__(self, other: "FpMatrix") -> "FpMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch")
@@ -96,13 +86,6 @@ class FpMatrix:
 
     def scale(self, c: int) -> "FpMatrix":
         return FpMatrix(self.ctx, self.rows, self.cols, [c * a for a in self.data])
-
-    def transpose(self) -> "FpMatrix":
-        out = [0] * (self.rows * self.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[j * self.rows + i] = self.data[i * self.cols + j]
-        return FpMatrix(self.ctx, self.cols, self.rows, out)
 
     def hstack(self, other: "FpMatrix") -> "FpMatrix":
         if self.rows != other.rows:

@@ -9,11 +9,6 @@ from operator import mul
 
 from .ff import PrimeCtx
 
-# Below this length schoolbook multiplication wins; above it we pack the
-# operands into big integers (Kronecker substitution) and let CPython's
-# subquadratic integer multiply do the work.
-_SCHOOLBOOK_CUTOFF = 64
-
 
 class FpPoly:
     __slots__ = ("ctx", "coeffs")
@@ -68,9 +63,6 @@ class FpPoly:
             self.ctx, [(self.coeff(i) - other.coeff(i)) % p for i in range(n)]
         )
 
-    def __neg__(self):
-        return FpPoly(self.ctx, [-a for a in self.coeffs])
-
     def __mul__(self, other):
         if isinstance(other, int):
             return FpPoly(self.ctx, [a * other for a in self.coeffs])
@@ -78,20 +70,8 @@ class FpPoly:
 
     __rmul__ = __mul__
 
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for a in reversed(self.coeffs):
-            acc = (acc * x + a) % self.ctx.p
-        return acc
-
     def derivative(self) -> "FpPoly":
         return FpPoly(self.ctx, [i * a for i, a in enumerate(self.coeffs)][1:])
-
-    def shift(self, k: int) -> "FpPoly":
-        """Multiply by x^k."""
-        if not self.coeffs:
-            return self
-        return FpPoly(self.ctx, [0] * k + self.coeffs)
 
     def monomials(self):
         """Nonzero (exponent, coefficient) pairs, ascending."""
@@ -112,30 +92,18 @@ def monomial_sum(ctx: PrimeCtx, terms) -> FpPoly:
 
 
 def _mul(a: FpPoly, b: FpPoly) -> FpPoly:
+    """Kronecker substitution into byte slots wide enough for
+    min(la, lb) * (p-1)^2, so CPython's subquadratic integer multiply does
+    the work and packing and unpacking stay linear."""
     if a.is_zero() or b.is_zero():
         return FpPoly(a.ctx, [])
-    p = a.ctx.p
     la, lb = len(a.coeffs), len(b.coeffs)
-    if min(la, lb) < _SCHOOLBOOK_CUTOFF:
-        out = [0] * (la + lb - 1)
-        if la > lb:
-            a, b = b, a
-        for i, ai in enumerate(a.coeffs):
-            if ai:
-                for j, bj in enumerate(b.coeffs):
-                    out[i + j] += ai * bj
-        return FpPoly(a.ctx, out)
-    # Kronecker substitution: slot width covers min(la, lb) * (p-1)^2.
-    bits = (min(la, lb) * (p - 1) * (p - 1)).bit_length() + 1
-    na = sum(c << (bits * i) for i, c in enumerate(a.coeffs))
-    nb = sum(c << (bits * i) for i, c in enumerate(b.coeffs))
-    prod = na * nb
-    mask = (1 << bits) - 1
-    out = []
-    for _ in range(la + lb - 1):
-        out.append((prod & mask) % p)
-        prod >>= bits
-    return FpPoly(a.ctx, out)
+    w = ((min(la, lb) * (a.ctx.p - 1) ** 2).bit_length() + 7) // 8
+    na, nb = (int.from_bytes(b"".join(c.to_bytes(w, "little") for c in x.coeffs), "little")
+              for x in (a, b))
+    buf = (na * nb).to_bytes(w * (la + lb - 1), "little")
+    slots = range(0, len(buf), w)
+    return FpPoly(a.ctx, [int.from_bytes(buf[i:i + w], "little") for i in slots])
 
 
 def divmod_poly(a: FpPoly, b: FpPoly):

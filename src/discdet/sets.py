@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .ff import PrimeCtx, bracket, is_prime, prime_ctx
+from .ff import PrimeCtx, binom, bracket, is_prime, prime_ctx
 
 B_PLUS = "B+"
 B_ZERO = "B0"
@@ -149,13 +149,6 @@ def enumerate_B(ctx: PrimeCtx):
     return sorted(out, key=Triple.as_tuple)
 
 
-def _binom(ctx: PrimeCtx, n: int, k: int) -> int:
-    """C(n, k) mod p for n < p, where Lucas's theorem leaves one digit."""
-    if k < 0 or k > n:
-        return 0
-    return ctx.fact[n] * ctx.inv_fact[k] * ctx.inv_fact[n - k] % ctx.p
-
-
 def xr1_det(ctx: PrimeCtx, r: int, e: int, d: int, gh: int) -> int:
     """Closed-form det M_d((x^r-1)^e) for (r, e, d) in U with r | p-1 and
     g/2 = gh."""
@@ -163,7 +156,7 @@ def xr1_det(ctx: PrimeCtx, r: int, e: int, d: int, gh: int) -> int:
     s = (p - 1) // r
     out = -1 if (d * (d - 1) // 2 + (r - 1) * gh) % 2 else 1
     for i in range(1, d + 1):
-        out = out * _binom(ctx, e, i * s) % p
+        out = out * binom(ctx, e, i * s) % p
     return out % p
 
 
@@ -195,7 +188,7 @@ def _xrx_det(ctx: PrimeCtx, j: int, r: int, e: int, d: int, l: int, gh: int) -> 
         sign = bracket(-p, r - 1)
     out = -sign if r * gh % 2 else sign
     for k in ks:
-        out = out * _binom(ctx, e, k) % p
+        out = out * binom(ctx, e, k) % p
     return out % p
 
 

@@ -144,11 +144,17 @@ def _verify_one(p: int) -> PrimeReport:
 
 
 def verify_range(p_min: int, p_max: int, workers: int = 1):
-    """Reports for every odd prime in [p_min, p_max], ascending, plus stats."""
+    """Reports for every odd prime in [p_min, p_max], ascending, plus stats.
+
+    Runs in min(workers, number of primes) processes.
+    """
     if p_min > p_max:
         raise ValueError("need p_min <= p_max")
+    if workers < 1:
+        raise ValueError("need workers >= 1")
     primes = [p for p in range(max(p_min, 3), p_max + 1) if is_prime(p)]
-    if workers > 1 and len(primes) > 1:
+    workers = min(workers, len(primes))
+    if workers > 1:
         # Imported here so that serial callers do not pay for importing multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 

@@ -118,6 +118,7 @@ def test_usage_errors_exit_64(capsys):
     # domain errors are reported, not raised
     assert main(["verify3", "--min-p", "9", "--max-p", "3"]) == 64
     assert main(["verify3", "--min-p", "10", "--max-p", "5"]) == 64
+    assert main(["verify3", "--min-p", "3", "--max-p", "50", "--jobs", "0"]) == 64
     assert main(["th5", "--p", "6", "--r", "2", "--e", "3"]) == 64
     # f = x^3 has Delta = 0 and a singular M_2(f^4): bad input, not a fault
     assert main(["th5", "--p", "7", "--r", "3", "--e", "4", "--coeffs", "0,0,0"]) == 64

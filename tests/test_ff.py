@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from discdet.ff import (
     DenominatorVanishes,
-    binom_mod_p,
+    binom,
     bracket,
     bracket_bruteforce,
     is_prime,
@@ -42,9 +42,13 @@ def test_prime_ctx_rejects_composite():
         prime_ctx(15)
 
 
-@given(st.sampled_from(SMALL_PRIMES), st.integers(0, 300), st.integers(0, 300))
-def test_binom_lucas_matches_comb(p, n, k):
-    assert binom_mod_p(prime_ctx(p), n, k) == math.comb(n, k) % p
+@given(st.data())
+def test_binom_matches_comb_below_p(data):
+    p = data.draw(st.sampled_from(SMALL_PRIMES))
+    n = data.draw(st.integers(0, p - 1))
+    k = data.draw(st.integers(-3, n + 3))
+    expected = math.comb(n, k) % p if k >= 0 else 0
+    assert binom(prime_ctx(p), n, k) == expected
 
 
 def test_jacobi_euler_criterion():

@@ -43,17 +43,37 @@ def test_mul_schoolbook_reference():
 
 
 def test_mul_kronecker_agrees_with_schoolbook():
-    # sizes straddling the dense-multiply cutoff
-    rng = random.Random(7)
-    ctx = prime_ctx(10007)
-    for deg in (50, 63, 64, 65, 200):
-        f = rand_poly(ctx, deg, rng)
-        g = rand_poly(ctx, deg + 3, rng)
+    def schoolbook(f, g):
         ref = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
         for i, a in enumerate(f.coeffs):
             for j, b in enumerate(g.coeffs):
-                ref[i + j] = (ref[i + j] + a * b) % ctx.p
-        assert (f * g).coeffs == ref
+                ref[i + j] = (ref[i + j] + a * b) % f.ctx.p
+        return ref
+
+    rng = random.Random(7)
+    pairs = []
+    # random operands of several sizes, including 1-byte slots at p = 2, 3
+    for p in (2, 3, 10007):
+        ctx = prime_ctx(p)
+        for deg in (0, 1, 7, 50, 200):
+            pairs.append((rand_poly(ctx, deg, rng), rand_poly(ctx, deg + 3, rng)))
+    # all coefficients p-1, with min(la, lb) (p-1)^2 just below and at the
+    # next slot width: 256 = 256 * 1^2 = 64 * 2^2 = 16 * 4^2 needs 2 bytes,
+    # and 70000 = 7 * 100^2 needs 3
+    for p, sizes in ((2, (255, 256)), (3, (63, 64)), (5, (15, 16)), (101, (6, 7))):
+        ctx = prime_ctx(p)
+        for n in sizes:
+            top = FpPoly(ctx, [p - 1] * n)
+            pairs.append((top, top))
+            pairs.append((top, FpPoly(ctx, [p - 1] * (n + 5))))
+    ctx = prime_ctx(10007)
+    pairs.append((rand_poly(ctx, 1, rng), rand_poly(ctx, 299, rng)))  # 2 x 300
+    pairs.append((FpPoly(ctx, [4]), rand_poly(ctx, 40, rng)))  # constant operand
+    for f, g in pairs:
+        assert (f * g).coeffs == schoolbook(f, g)
+        assert (g * f).coeffs == schoolbook(f, g)
+    f = rand_poly(ctx, 120, rng)
+    assert (f * f).coeffs == schoolbook(f, f)  # both operands one object
 
 
 def test_divmod_roundtrip():
@@ -67,10 +87,9 @@ def test_divmod_roundtrip():
         assert r.degree < b.degree
 
 
-def test_call_and_derivative():
+def test_derivative():
     ctx = prime_ctx(11)
     f = monomial_sum(ctx, [(3, 1), (1, 4), (0, 6)])  # x^3 + 4x + 6
-    assert f(2) == (8 + 8 + 6) % 11
     assert f.derivative().coeffs == [4, 0, 3]
 
 

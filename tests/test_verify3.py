@@ -99,6 +99,33 @@ def test_verify_range_worker_determinism():
     assert s_stats == p_stats
 
 
+def test_verify_range_starts_at_most_one_worker_per_prime(monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    reports, stats = verify_range(3, 20, workers=16)
+    assert started == [7]
+    assert [r.p for r in reports] == [3, 5, 7, 11, 13, 17, 19]
+    assert stats == verify_range(3, 20)[1]
+    with pytest.raises(ValueError):
+        verify_range(3, 20, workers=-1)
+
+
 def test_avg_str_rounding():
     stats = RangeStats(1, (Fraction(1, 3), Fraction(1, 2) / 10**5,
                            Fraction(0), Fraction(419536, 10**5)), (0, 0, 0, 0))
