@@ -8,6 +8,7 @@ import argparse
 import random
 import sys
 import traceback
+from contextlib import ExitStack
 
 from .ff import is_prime, prime_ctx
 
@@ -22,6 +23,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         sys.exit(EX_USAGE)
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -44,19 +52,19 @@ def _build_parser() -> _Parser:
     t5.add_argument("--r", type=int, required=True)
     t5.add_argument("--e", type=int, required=True)
     t5.add_argument("--coeffs", help="c1,..,cr for monic f = x^r + c1 x^{r-1} + ...")
-    t5.add_argument("--trials", type=int, default=5)
+    t5.add_argument("--trials", type=positive_int, default=5)
     t5.add_argument("--seed", type=int, default=0)
 
     e1 = sub.add_parser("exp1", help="determinant-ratio equality over E(p)")
     e1.add_argument("--p", type=int, required=True)
     e1.add_argument("--max-r", type=int, required=True)
-    e1.add_argument("--trials", type=int, default=10)
+    e1.add_argument("--trials", type=positive_int, default=10)
     e1.add_argument("--seed", type=int, default=0)
 
     e2 = sub.add_parser("exp2", help="Glynn-coefficient ratio equality")
     e2.add_argument("--p", type=int, required=True)
     e2.add_argument("--r", type=int, required=True)
-    e2.add_argument("--trials", type=int, default=20)
+    e2.add_argument("--trials", type=positive_int, default=20)
     e2.add_argument("--seed", type=int, default=0)
 
     pp = sub.add_parser("ppm", help="enumerate step-constrained permutations")
@@ -74,37 +82,36 @@ def _build_parser() -> _Parser:
 def _cmd_verify3(args) -> int:
     from .verify3 import verify_range
 
-    reports, stats = verify_range(args.min_p, args.max_p, workers=args.jobs)
-    print(CSV_HEADER.replace(",", " "))
-    for rep in reports:
-        print(rep.csv_row().replace(",", " "))
-    if stats.prime_count:
-        for stage in range(1, 5):
-            print(
-                f"# T{stage}: avg {stats.avg_str(stage)} "
-                f"max {stats.maxima[stage - 1]}  ({stats.prime_count} primes)"
-            )
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(CSV_HEADER + "\n")
+    with ExitStack() as files:
+        # Opened before the run, so that a bad path costs no computation.
+        try:
+            out, surv = [
+                files.enter_context(open(path, "w", newline="\n")) if path else None
+                for path in (args.out, args.survivors)
+            ]
+        except OSError as exc:
+            raise ValueError(f"cannot open output file: {exc}") from None
+        reports, stats = verify_range(args.min_p, args.max_p, workers=args.jobs)
+        rows = [CSV_HEADER] + [rep.csv_row() for rep in reports]
+        for row in rows:
+            print(row.replace(",", " "))
+        if stats.prime_count:
+            for stage in range(1, 5):
+                print(
+                    f"# T{stage}: avg {stats.avg_str(stage)} "
+                    f"max {stats.maxima[stage - 1]}  ({stats.prime_count} primes)"
+                )
+        if out:
+            out.writelines(row + "\n" for row in rows)
+        if surv:
+            surv.write("p,r,e,d,stage_reached\n")
             for rep in reports:
-                fh.write(rep.csv_row() + "\n")
-    survivor_rows = [
-        (rep.p, t.r, t.e, t.d, stage)
-        for rep in reports
-        for t, stage in rep.stage_records
-    ]
-    if args.survivors:
-        with open(args.survivors, "w", newline="\n") as fh:
-            fh.write("p,r,e,d,stage_reached\n")
-            for row in survivor_rows:
-                fh.write(",".join(str(v) for v in row) + "\n")
-    witness = False
-    for rep in reports:
-        for t in rep.survivors:
-            witness = True
-            print(f"# WITNESS: p={rep.p} (r,e,d)=({t.r},{t.e},{t.d}) passed all stages")
-    return 2 if witness else 0
+                for t, stage in rep.stage_records:
+                    surv.write(f"{rep.p},{t.r},{t.e},{t.d},{stage}\n")
+    witnesses = [(rep.p, t) for rep in reports for t in rep.survivors]
+    for p, t in witnesses:
+        print(f"# WITNESS: p={p} (r,e,d)=({t.r},{t.e},{t.d}) passed all stages")
+    return 2 if witnesses else 0
 
 
 def _cmd_th1sym(args) -> int:

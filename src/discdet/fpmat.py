@@ -60,7 +60,6 @@ class FpMatrix:
     def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        p = self.ctx.p
         n, m, k = self.rows, other.cols, self.cols
         out = [0] * (n * m)
         for i in range(n):
@@ -72,7 +71,7 @@ class FpMatrix:
                     obase = t * m
                     for j in range(m):
                         out[orow + j] += a * other.data[obase + j]
-        return FpMatrix(self.ctx, n, m, [v % p for v in out])
+        return FpMatrix(self.ctx, n, m, out)
 
     def __sub__(self, other: "FpMatrix") -> "FpMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -4,9 +4,9 @@ A triple determines the matrix M_d(f^e) for degree-r polynomials f over F_p.
 This module supplies the exponent g, membership predicates for the B and U
 families, the epsilon scalar on B, closed-form determinants for the
 specialized polynomials x^r - 1 and x^r - x, the candidate classes C1-C4
-(``candidates`` is the integer kernel that verify3 runs, ``enumerate_C`` its
-reference), and the kappa invariant that controls which d = 1 candidates
-survive the x^r - x test.
+(``enumerate_C``) and their stage T1 test (``t1_survivors``, the integer
+kernel that verify3 runs, tested against ``enumerate_C``), and the kappa
+invariant that controls which d = 1 candidates survive the x^r - x test.
 """
 
 from dataclasses import dataclass
@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .ff import PrimeCtx, binom, bracket, is_prime, prime_ctx
+from .poly import XR_MINUS_1, XR_MINUS_X, special_discriminant
 
 B_PLUS = "B+"
 B_ZERO = "B0"
@@ -232,7 +233,7 @@ def enumerate_C(j: int, ctx: PrimeCtx):
 
     Returns (Triple, det) pairs in ascending (r, e, d) order.  For the C4
     members with d in {r-1, r} (all of which lie in B) no closed form is
-    stated, and det is None.  This is the reference that ``candidates`` is
+    stated, and det is None.  This is the reference that ``t1_survivors`` is
     tested against.
     """
     if j not in (1, 2, 3, 4):
@@ -254,34 +255,45 @@ def enumerate_C(j: int, ctx: PrimeCtx):
     return sorted(out, key=lambda pair: pair[0].as_tuple())
 
 
-def candidates(ctx: PrimeCtx):
-    """Every member of C1-C4 outside B, once, in ascending (r, e, d) order.
+def t1_survivors(ctx: PrimeCtx):
+    """Stage T1 over every member of C1-C4 outside B, in one pass.
 
-    Yields plain ints (j, r, e, d, g/2, det M_d((x^r-x)^e)), with j the
-    class.  B members are rejected before any binomial is taken, and two
-    ranges are never visited because they lie wholly in B:
+    Returns (c_counts, survivors): the number of members of each class, and
+    the ascending (r, e, d, eps0) of the members whose closed-form
+    det M_d((x^r-x)^e) equals eps0 * Delta(x^r-x)^{g/2}, where
+    eps0 = det M_d((x^r-1)^e) / Delta(x^r-1)^{g/2}.  Both discriminants are
+    taken once per r, at r's first member outside B.  B members are rejected
+    before any binomial is taken, and two ranges are never visited because
+    they lie wholly in B:
       * C1 at r = 2: d = 1 = r-1 and e = s+l > s = (p-1)/2, so B0;
       * C4 with d in {r-1, r}: U's d(p-1) <= re <= r(p-1) gives
         r(p-1-e) <= p-1 for d = r-1 (so B0, as e > (p-1)/2 for r >= 3)
         and e = p-1 for d = r (so B+).
     """
     p = ctx.p
+    counts = [0, 0, 0, 0]
+    survivors = []
     for r in _divisors(p - 1):
-        found = []
-        for j in (1, 2, 3) if r > 2 else (2, 3):
+        taken = set()
+        inv_d1 = None
+        for j in (1, 2, 3, 4) if r > 2 else (2, 3):
             for e, d, l in _params(j, p, r):
-                if _in_B(p, r, e, d) is None:
-                    gh = half_g(p, r, e, d)
-                    found.append((e, d, j, gh, _xrx_det(ctx, j, r, e, d, l, gh)))
-        taken = {(e, d) for e, d, *_ in found}
-        for e, d, l in _params(4, p, r):
-            if (e, d) in taken or _in_B(p, r, e, d) is not None or not _in_U(p, r, e, d):
-                continue
-            gh = half_g(p, r, e, d)
-            found.append((e, d, 4, gh, _xrx_det(ctx, 4, r, e, d, l, gh)))
-        found.sort()
-        for e, d, j, gh, det in found:
-            yield j, r, e, d, gh, det
+                if _in_B(p, r, e, d) is not None:
+                    continue
+                if j < 4:
+                    taken.add((e, d))
+                elif (e, d) in taken or not _in_U(p, r, e, d):
+                    continue
+                counts[j - 1] += 1
+                if inv_d1 is None:
+                    inv_d1 = ctx.inv(special_discriminant(XR_MINUS_1, r, ctx))
+                    rho = special_discriminant(XR_MINUS_X, r, ctx) * inv_d1 % p
+                gh = half_g(p, r, e, d)
+                xr1 = xr1_det(ctx, r, e, d, gh)
+                if _xrx_det(ctx, j, r, e, d, l, gh) == xr1 * pow(rho, gh, p) % p:
+                    survivors.append((r, e, d, xr1 * pow(inv_d1, gh, p) % p))
+    survivors.sort()
+    return tuple(counts), survivors
 
 
 def kappa(s: int, l: int) -> Fraction:

@@ -2,10 +2,10 @@
 
 For each prime p the candidate triples are the C_j(p) \\ B(p) members with
 closed-form det M_d((x^r-x)^e).  Each candidate's baseline scalar eps0 comes
-from the x^r-1 closed forms; a candidate survives stage T1 if the x^r-x
-closed-form determinant matches eps0 * Delta(x^r-x)^{g/2}, and survives the
-later stages if the same identity holds, computed directly, for every test
-polynomial of the stage:
+from the x^r-1 closed forms; a candidate survives stage T1 (sets.t1_survivors)
+if the x^r-x closed-form determinant matches eps0 * Delta(x^r-x)^{g/2}, and
+survives the later stages if the same identity holds, computed directly, for
+every test polynomial of the stage:
 
     T2: x^r + x^k + 1      (r > k > 0)
     T3: x^r + x^k + x      (r > k > 1)
@@ -14,21 +14,19 @@ polynomial of the stage:
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .ff import PrimeCtx, is_prime
 from .fpmat import det, m_matrix
 from .poly import (
     XR_MINUS_1,
-    XR_MINUS_X,
-    discriminant,
     monomial_sum,
     special_discriminant,
     trinomial_discriminant,
 )
 # enumerate_C and g_exponent are not called here; perfbench/tracer.py wraps them
 # under this module's name.
-from .sets import Triple, candidates, det_xr1, enumerate_C, g_exponent, half_g, xr1_det  # noqa: F401
+from .sets import Triple, det_xr1, enumerate_C, g_exponent, half_g, t1_survivors  # noqa: F401
 
 STAGES = 4
 
@@ -38,8 +36,12 @@ class PrimeReport:
     p: int
     c_counts: Tuple[int, int, int, int]
     t_counts: Tuple[int, int, int, int]
-    survivors: List[Triple]
     stage_records: List[Tuple[Triple, int]]  # candidates past T1, stage reached
+
+    @property
+    def survivors(self) -> List[Triple]:
+        """The candidates that passed every stage."""
+        return [t for t, stage in self.stage_records if stage == STAGES]
 
     def csv_row(self) -> str:
         return ",".join(str(v) for v in (self.p, *self.c_counts, *self.t_counts))
@@ -58,24 +60,17 @@ class RangeStats:
         return f"{scaled // 10**5}.{scaled % 10**5:05d}"
 
 
-def _eps0(xr1: int, gh: int, inv_d1: int, p: int) -> int:
-    """det M_d((x^r-1)^e) / Delta(x^r-1)^{g/2}, given the det and 1/Delta."""
-    return xr1 * pow(inv_d1, gh, p) % p
-
-
 def baseline_eps0(t: Triple) -> int:
     """det M_d((x^r-1)^e) / Delta(x^r-1)^{g/2}, both by closed form."""
     ctx = t.ctx
     inv_d1 = ctx.inv(special_discriminant(XR_MINUS_1, t.r, ctx))
-    return _eps0(det_xr1(t), half_g(ctx.p, t.r, t.e, t.d), inv_d1, ctx.p)
+    return det_xr1(t) * pow(inv_d1, half_g(ctx.p, t.r, t.e, t.d), ctx.p) % ctx.p
 
 
-def test_candidate(t: Triple, f, eps0: int, delta: Optional[int] = None) -> bool:
-    """True iff det M_d(f^e) = eps0 * Delta(f)^{g/2}."""
+def test_candidate(t: Triple, f, eps0: int, delta: int) -> bool:
+    """True iff det M_d(f^e) = eps0 * delta^{g/2}, with delta = Delta(f)."""
     p = t.p
     gh = half_g(p, t.r, t.e, t.d)
-    if delta is None:
-        delta = discriminant(f)
     lhs = det(m_matrix(f, t.e, t.d))
     return lhs == eps0 * pow(delta, gh, p) % p
 
@@ -105,37 +100,23 @@ def verify_prime(ctx: PrimeCtx) -> PrimeReport:
     p = ctx.p
     if p == 2:
         raise ValueError("p = 2 has no candidates (r | p-1 is impossible)")
-    c_counts = [0, 0, 0, 0]
-    t_counts = [0, 0, 0, 0]
+    c_counts, passed_t1 = t1_survivors(ctx)
     stage_records = []
-    survivors = []
-    disc_r = None
-    for j, r, e, d, gh, closed_det in candidates(ctx):
-        c_counts[j - 1] += 1
-        if r != disc_r:
-            disc_r = r
-            inv_d1 = ctx.inv(special_discriminant(XR_MINUS_1, r, ctx))
-            d_xrx = special_discriminant(XR_MINUS_X, r, ctx)
-            families = None  # built at this r's first T1 survivor
-        eps0 = _eps0(xr1_det(ctx, r, e, d, gh), gh, inv_d1, p)
-        if closed_det != eps0 * pow(d_xrx, gh, p) % p:
-            continue
+    families_r = None
+    for r, e, d, eps0 in passed_t1:
+        if r != families_r:
+            families_r, families = r, _stage_families(ctx, r)
         t = Triple(ctx, r, e, d)
-        t_counts[0] += 1
         stage = 1
-        if families is None:
-            families = _stage_families(ctx, r)
         for family in families:
             if all(test_candidate(t, f, eps0, delta) for f, delta in family):
                 stage += 1
             else:
                 break
-        for s in range(1, stage):
-            t_counts[s] += 1
         stage_records.append((t, stage))
-        if stage == STAGES:
-            survivors.append(t)
-    return PrimeReport(p, tuple(c_counts), tuple(t_counts), survivors, stage_records)
+    # t_counts[i] counts the candidates that passed stage T(i+1).
+    t_counts = tuple(sum(stage > i for _, stage in stage_records) for i in range(STAGES))
+    return PrimeReport(p, c_counts, t_counts, stage_records)
 
 
 def _verify_one(p: int) -> PrimeReport:

@@ -119,6 +119,21 @@ def test_usage_errors_exit_64(capsys):
     assert main(["verify3", "--min-p", "9", "--max-p", "3"]) == 64
     assert main(["verify3", "--min-p", "10", "--max-p", "5"]) == 64
     assert main(["verify3", "--min-p", "3", "--max-p", "50", "--jobs", "0"]) == 64
+    # an output path that cannot be opened is rejected before the run
+    capsys.readouterr()
+    for flag in ("--out", "--survivors"):
+        assert main(["verify3", "--min-p", "3", "--max-p", "50",
+                     flag, "/nonexistent/dir/x.csv"]) == 64
+        out = capsys.readouterr()
+        assert out.out == "", out.out
+        assert out.err.count("\n") == 1 and "cannot open output file" in out.err, out.err
+    for argv in (["th5", "--p", "7", "--r", "3", "--e", "4"],
+                 ["exp1", "--p", "5", "--max-r", "3"],
+                 ["exp2", "--p", "5", "--r", "2"]):
+        for trials in ("0", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--trials", trials])
+            assert exc.value.code == 64, (argv, trials)
     assert main(["th5", "--p", "6", "--r", "2", "--e", "3"]) == 64
     # f = x^3 has Delta = 0 and a singular M_2(f^4): bad input, not a fault
     assert main(["th5", "--p", "7", "--r", "3", "--e", "4", "--coeffs", "0,0,0"]) == 64

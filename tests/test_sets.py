@@ -160,7 +160,7 @@ def test_closed_form_xrx_dets_match_direct():
 
 
 def test_ranges_the_kernel_skips_lie_in_B():
-    # candidates() never visits C1 at r = 2 or C4 with d in {r-1, r}
+    # t1_survivors() never visits C1 at r = 2 or C4 with d in {r-1, r}
     for p in range(3, 400):
         if not is_prime(p):
             continue

@@ -1,11 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 
 from discdet.ff import is_prime, prime_ctx
 from discdet.fpmat import det, m_matrix
-from discdet.poly import FpPoly, XR_MINUS_X, discriminant, monomial_sum, special_discriminant
-from discdet.sets import Triple, candidates, enumerate_B, enumerate_C, epsilon, g_exponent, in_B
+from discdet.poly import FpPoly, XR_MINUS_1, XR_MINUS_X, discriminant, monomial_sum, special_discriminant
+from discdet.sets import Triple, enumerate_B, enumerate_C, epsilon, g_exponent, in_B, t1_survivors
 from discdet.verify3 import RangeStats, baseline_eps0, verify_prime, verify_range
 from discdet.verify3 import test_candidate as det_identity_holds
 from fractions import Fraction
@@ -29,7 +30,7 @@ def test_b_members_pass_for_any_squarefree_f():
                 if discriminant(f) == 0:
                     continue
                 done += 1
-                assert det_identity_holds(t, f, epsilon(t)), (t, f.coeffs)
+                assert det_identity_holds(t, f, epsilon(t), discriminant(f)), (t, f.coeffs)
 
 
 def test_candidate_fails_on_zero_discriminant_with_nonzero_det():
@@ -40,7 +41,7 @@ def test_candidate_fails_on_zero_discriminant_with_nonzero_det():
     f = FpPoly(ctx, [0, 1, 5, 1])
     assert discriminant(f) == 0
     assert det(m_matrix(f, t.e, t.d)) != 0
-    assert not det_identity_holds(t, f, baseline_eps0(t))
+    assert not det_identity_holds(t, f, baseline_eps0(t), discriminant(f))
 
 
 def test_verify_prime_pinned_rows():
@@ -136,7 +137,7 @@ def test_avg_str_rounding():
 
 
 def test_stage1_closed_form_matches_direct_det():
-    # the integer kernel's candidates, per-class counts and T1 decisions
+    # the integer kernel's per-class counts, T1 survivors and their eps0
     # agree with the reference enumerate_C + in_B + baseline_eps0, and for
     # the smaller primes the T1 decisions agree with evaluating
     # det M_d((x^r-x)^e) directly
@@ -146,7 +147,7 @@ def test_stage1_closed_form_matches_direct_det():
         ctx = prime_ctx(p)
         rep = verify_prime(ctx)
         passed_t1 = {t.as_tuple() for t, _ in rep.stage_records}
-        rows, closed, direct = [], set(), set()
+        closed, direct = [], set()
         counts = [0, 0, 0, 0]
         for j in (1, 2, 3, 4):
             for t, cd in enumerate_C(j, ctx):
@@ -154,16 +155,65 @@ def test_stage1_closed_form_matches_direct_det():
                     continue
                 counts[j - 1] += 1
                 gh = g_exponent(t).numerator // 2
-                rows.append((j, *t.as_tuple(), gh, cd))
+                eps0 = baseline_eps0(t)
                 d_xrx = special_discriminant(XR_MINUS_X, t.r, ctx)
-                if cd == baseline_eps0(t) * pow(d_xrx, gh, p) % p:
-                    closed.add(t.as_tuple())
+                if cd == eps0 * pow(d_xrx, gh, p) % p:
+                    closed.append((*t.as_tuple(), eps0))
                 if p in (5, 7, 13, 31, 61):
                     f = monomial_sum(ctx, [(t.r, 1), (1, -1)])
-                    if det_identity_holds(t, f, baseline_eps0(t), d_xrx):
+                    if det_identity_holds(t, f, eps0, d_xrx):
                         direct.add(t.as_tuple())
-        assert list(candidates(ctx)) == sorted(rows, key=lambda row: row[1:4]), p
+        assert t1_survivors(ctx) == (tuple(counts), sorted(closed)), p
         assert rep.c_counts == tuple(counts), p
-        assert passed_t1 == closed, p
+        assert passed_t1 == {row[:3] for row in closed}, p
         if p in (5, 7, 13, 31, 61):
             assert passed_t1 == direct, p
+
+
+@pytest.mark.parametrize("p", [6301, 20161])
+def test_t1_decisions_match_direct_dets_at_scale(p):
+    # criterion 10 beyond p <= 101: every T1 survivor with d <= 3 and a
+    # seeded sample of C1/C2 members outside B with d <= 3 are decided again
+    # with both determinants taken directly, as
+    # det M_d((x^r-x)^e) * D1^{g/2} == det M_d((x^r-1)^e) * Dx^{g/2},
+    # where D1 = Delta(x^r-1) and Dx = Delta(x^r-x)
+    ctx = prime_ctx(p)
+    survived = {(r, e, d) for r, e, d, _ in t1_survivors(ctx)[1]}
+    members = sorted(
+        t.as_tuple()
+        for j in (1, 2)
+        for t, _ in enumerate_C(j, ctx)
+        if t.d <= 3 and in_B(t) is None
+    )
+    picked = {m for m in survived if m[2] <= 3}
+    picked |= set(random.Random(p).sample(members, 20))
+    for r, e, d in sorted(picked):
+        gh = g_exponent(Triple(ctx, r, e, d)).numerator // 2
+        xrx = det(m_matrix(monomial_sum(ctx, [(r, 1), (1, -1)]), e, d))
+        xr1 = det(m_matrix(monomial_sum(ctx, [(r, 1), (0, -1)]), e, d))
+        d1 = special_discriminant(XR_MINUS_1, r, ctx)
+        dx = special_discriminant(XR_MINUS_X, r, ctx)
+        holds = xrx * pow(d1, gh, p) % p == xr1 * pow(dx, gh, p) % p
+        assert holds == ((r, e, d) in survived), (p, r, e, d)
+
+
+def test_t1_takes_discriminants_only_at_r_with_candidates(monkeypatch):
+    # p = 199523 is a safe prime: every member at r = 2 lies in B, so r = 2
+    # costs no discriminant, and each other r takes Delta(x^r-1) and
+    # Delta(x^r-x) once
+    import discdet.sets as sets_mod
+
+    calls = []
+
+    def counted(kind, r, ctx):
+        calls.append((kind, r))
+        return special_discriminant(kind, r, ctx)
+
+    monkeypatch.setattr(sets_mod, "special_discriminant", counted)
+    ctx = prime_ctx(199523)
+    t1_survivors(ctx)
+    with_members = {
+        t.r for j in (1, 2, 3, 4) for t, _ in enumerate_C(j, ctx) if in_B(t) is None
+    }
+    assert with_members and 2 not in with_members
+    assert Counter(calls) == {(kind, r): 1 for kind in (XR_MINUS_1, XR_MINUS_X) for r in with_members}
