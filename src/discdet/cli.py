@@ -5,10 +5,11 @@ passed every stage (potential witness), 64 usage error, 70 internal error.
 """
 
 import argparse
+import os
 import random
 import sys
 import traceback
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 
 from .ff import is_prime, prime_ctx
 
@@ -79,14 +80,31 @@ def _build_parser() -> _Parser:
     return top
 
 
+@contextmanager
+def _replace_on_success(path):
+    """A new file beside path that replaces path when the block ends normally
+    and is removed when the block raises, so a failed run keeps the old path."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"{path} is a directory")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", newline="\n")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    os.replace(tmp, path)
+
+
 def _cmd_verify3(args) -> int:
     from .verify3 import verify_range
 
     with ExitStack() as files:
-        # Opened before the run, so that a bad path costs no computation.
+        # Created before the run, so that a bad path costs no computation.
         try:
             out, surv = [
-                files.enter_context(open(path, "w", newline="\n")) if path else None
+                files.enter_context(_replace_on_success(path)) if path else None
                 for path in (args.out, args.survivors)
             ]
         except OSError as exc:
@@ -116,8 +134,9 @@ def _cmd_verify3(args) -> int:
 
 def _cmd_th1sym(args) -> int:
     from .sets import enumerate_B
-    from .symbolic import theorem1_check
+    from .symbolic import check_desk_scale, theorem1_check
 
+    check_desk_scale(args.max_p, args.max_r)
     failed = False
     for p in range(2, args.max_p + 1):
         if not is_prime(p):

@@ -16,6 +16,8 @@ from .poly import FpPoly, bezout_matrix, discriminant, poly_pow
 from .fpmat import FpMatrix, Singular, det, inverse, m_matrix
 from .sets import Triple, in_B, B_ZERO
 
+SPEC_TRIES = 100  # random f drawn by random_spec before it gives up
+
 
 class IndexTooLarge(ValueError):
     pass
@@ -326,10 +328,10 @@ def det_br_identity(spec: StructuredSpec) -> bool:
     return det(B) == want
 
 
-def random_spec(ctx: PrimeCtx, r: int, e: int, rng, retries: int = 100) -> StructuredSpec:
+def random_spec(ctx: PrimeCtx, r: int, e: int, rng) -> StructuredSpec:
     """Monic f with Delta(f) != 0 and det M_{r-1}(f^e) != 0."""
     p = ctx.p
-    for _ in range(retries):
+    for _ in range(SPEC_TRIES):
         f = FpPoly(ctx, [rng.randrange(p) for _ in range(r)] + [1])
         if discriminant(f) == 0:
             continue
@@ -339,4 +341,4 @@ def random_spec(ctx: PrimeCtx, r: int, e: int, rng, retries: int = 100) -> Struc
         except SingularM:
             continue
         return spec
-    raise SingularM(f"no admissible f found in {retries} tries at p={p}, r={r}, e={e}")
+    raise SingularM(f"no admissible f found in {SPEC_TRIES} tries at p={p}, r={r}, e={e}")

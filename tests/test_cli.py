@@ -27,6 +27,23 @@ def test_verify3_csv_matches_golden(tmp_path, capsys):
     assert "13,4,12,1,1" in srows
 
 
+def test_verify3_keeps_old_outputs_until_a_run_succeeds(tmp_path, capsys):
+    out = tmp_path / "keep.csv"
+    surv = tmp_path / "keep_stages.csv"
+    out.write_text("old\n")
+    surv.write_text("old stages\n")
+    files = ("--out", str(out), "--survivors", str(surv))
+    code, _, _ = run(capsys, "verify3", "--min-p", "9", "--max-p", "3", *files)
+    assert code == 64
+    assert out.read_text() == "old\n" and surv.read_text() == "old stages\n"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["keep.csv", "keep_stages.csv"]
+    code, _, _ = run(capsys, "verify3", "--min-p", "3", "--max-p", "13", *files)
+    assert code == 0
+    assert out.read_text().splitlines()[0] == CSV_HEADER
+    assert surv.read_text().splitlines()[0] == "p,r,e,d,stage_reached"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["keep.csv", "keep_stages.csv"]
+
+
 def test_verify3_stage_counts_on_stdout(capsys):
     code, stdout, _ = run(capsys, "verify3", "--min-p", "193", "--max-p", "193")
     assert code == 0
@@ -119,14 +136,21 @@ def test_usage_errors_exit_64(capsys):
     assert main(["verify3", "--min-p", "9", "--max-p", "3"]) == 64
     assert main(["verify3", "--min-p", "10", "--max-p", "5"]) == 64
     assert main(["verify3", "--min-p", "3", "--max-p", "50", "--jobs", "0"]) == 64
+    # th1sym bounds past the desk scale are refused before any row is printed
+    capsys.readouterr()
+    for bounds in (["--max-p", "11", "--max-r", "2"], ["--max-p", "7", "--max-r", "6"]):
+        assert main(["th1sym", *bounds]) == 64, bounds
+        out = capsys.readouterr()
+        assert out.out == "", out.out
+        assert out.err.count("\n") == 1 and "desk scale" in out.err, out.err
     # an output path that cannot be opened is rejected before the run
     capsys.readouterr()
     for flag in ("--out", "--survivors"):
-        assert main(["verify3", "--min-p", "3", "--max-p", "50",
-                     flag, "/nonexistent/dir/x.csv"]) == 64
-        out = capsys.readouterr()
-        assert out.out == "", out.out
-        assert out.err.count("\n") == 1 and "cannot open output file" in out.err, out.err
+        for path in ("/nonexistent/dir/x.csv", "tests"):
+            assert main(["verify3", "--min-p", "3", "--max-p", "50", flag, path]) == 64
+            out = capsys.readouterr()
+            assert out.out == "", out.out
+            assert out.err.count("\n") == 1 and "cannot open output file" in out.err, out.err
     for argv in (["th5", "--p", "7", "--r", "3", "--e", "4"],
                  ["exp1", "--p", "5", "--max-r", "3"],
                  ["exp2", "--p", "5", "--r", "2"]):

@@ -51,18 +51,31 @@ def test_exact_div_roundtrip_and_failure():
 
 
 def test_det_bareiss_matches_numeric_det():
-    ctx = prime_ctx(31)
+    p = 31
+    ctx = prime_ctx(p)
     rng = random.Random(1)
-    for n in range(1, 5):
-        for _ in range(15):
-            vals = [rng.randrange(31) for _ in range(n * n)]
-            entries = [
-                [MultiPoly.constant(ctx, 1, vals[i * n + j]) for j in range(n)]
-                for i in range(n)
-            ]
+
+    def entry():
+        if rng.random() < 0.2:
+            return MultiPoly(ctx, 2)
+        return MultiPoly(ctx, 2, {
+            (rng.randrange(3), rng.randrange(3)): rng.randrange(1, p)
+            for _ in range(rng.randrange(1, 4))
+        })
+
+    for n in range(1, 6):
+        for _ in range(10):
+            entries = [[entry() for _ in range(n)] for _ in range(n)]
             got = det_bareiss(entries)
-            want = det(FpMatrix(ctx, n, n, vals))
-            assert got.terms.get((0,), 0) == want
+            for _ in range(4):
+                point = [rng.randrange(p) for _ in range(2)]
+                vals = [a.evaluate(point) for row in entries for a in row]
+                assert got.evaluate(point) == det(FpMatrix(ctx, n, n, vals))
+    # a repeated row and a zero column give the zero polynomial
+    x = MultiPoly.variable(ctx, 2, 0)
+    zero = MultiPoly(ctx, 2)
+    assert det_bareiss([[x, x + x], [x, x + x]]).is_zero()
+    assert det_bareiss([[zero, x], [zero, x * x]]).is_zero()
 
 
 def test_generic_monic_specializes_to_product_of_roots():
@@ -115,6 +128,17 @@ def test_symbolic_m_matrix_matches_numeric():
 def test_theorem1_check_pinned_case():
     rep = theorem1_check(Triple(prime_ctx(5), 2, 3, 1))
     assert rep["holds"] and rep["eps"] == 3 and rep["g"] == 2
+
+
+def test_theorem1_check_takes_no_division(monkeypatch):
+    import discdet.symbolic as symbolic
+
+    def refuse(f, g):
+        raise AssertionError("exact_div called")
+
+    monkeypatch.setattr(symbolic, "exact_div", refuse)
+    rep = theorem1_check(Triple(prime_ctx(5), 4, 4, 3))
+    assert rep["holds"] and rep["g"] == 4
 
 
 def test_theorem1_check_guards():
