@@ -62,9 +62,16 @@ class StructuredSpec:
 
     # Derived once per spec; every check reads them from here.
     @cached_property
+    def L(self) -> FpMatrix:
+        """The d x (r+d) window [x^{ip+j-2r}] f^e, from one expansion of f^e."""
+        fe, r, d, p = poly_pow(self.f, self.e), self.r, self.d, self.p
+        indices = (i * p + j - 2 * r for i in range(1, d + 1) for j in range(1, r + d + 1))
+        return FpMatrix(self.ctx, d, r + d, [fe.coeff(n) for n in indices])
+
+    @cached_property
     def Me(self) -> FpMatrix:
-        """M_d(f^e)."""
-        return m_matrix(self.f, self.e, self.d)
+        """M_d(f^e): the last d columns of L, as ip+j-d-1 = ip+(r+j)-2r."""
+        return self.L.submatrix(0, self.d, self.r, self.r + self.d)
 
     @cached_property
     def Me1(self) -> FpMatrix:
@@ -219,11 +226,6 @@ def check_theorem5(spec: StructuredSpec) -> dict:
 def build_LVR(spec: StructuredSpec):
     """L (d x (r+d)), V ((r+d) x d), R ((r+d) x r) of the elimination route."""
     ctx, r, d, p, n = spec.ctx, spec.r, spec.d, spec.p, spec.n
-    fe = poly_pow(spec.f, spec.e)
-    L = FpMatrix.from_rows(
-        ctx,
-        [[fe.coeff(i * p + j - 2 * r) for j in range(1, r + d + 1)] for i in range(1, d + 1)],
-    )
     V = FpMatrix.from_rows(
         ctx, [[spec.s(i - j) for j in range(1, d + 1)] for i in range(1, r + d + 1)]
     )
@@ -237,7 +239,7 @@ def build_LVR(spec: StructuredSpec):
             for i in range(1, r + d + 1)
         ],
     )
-    return L, V, R
+    return spec.L, V, R
 
 
 def claimed_r1_inverse(spec: StructuredSpec) -> FpMatrix:

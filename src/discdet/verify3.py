@@ -76,23 +76,23 @@ def test_candidate(t: Triple, f, eps0: int, delta: int) -> bool:
 
 
 def _stage_families(ctx: PrimeCtx, r: int):
-    """Test polynomials with precomputed discriminants for stages 2..4."""
-    t2 = [
+    """Stage 2..4 test polynomials with their discriminants, each built when drawn."""
+    t2 = (
         (monomial_sum(ctx, [(r, 1), (k, 1), (0, 1)]),
          trinomial_discriminant(ctx, r, k, 1, 1))
         for k in range(1, r)
-    ]
+    )
     # Delta(x(g(x))) = Delta(g) * g(0)^2 with g = x^{r-1}+x^{k-1}+1; g(0)=1.
-    t3 = [
+    t3 = (
         (monomial_sum(ctx, [(r, 1), (k, 1), (1, 1)]),
          trinomial_discriminant(ctx, r - 1, k - 1, 1, 1))
         for k in range(2, r)
-    ]
-    t4 = [
+    )
+    t4 = (
         (monomial_sum(ctx, [(r, 1), (1, 1), (0, b)]),
          trinomial_discriminant(ctx, r, 1, 1, b))
         for b in (2, 3)
-    ]
+    )
     return [t2, t3, t4]
 
 
@@ -102,17 +102,13 @@ def verify_prime(ctx: PrimeCtx) -> PrimeReport:
         raise ValueError("p = 2 has no candidates (r | p-1 is impossible)")
     c_counts, passed_t1 = t1_survivors(ctx)
     stage_records = []
-    families_r = None
     for r, e, d, eps0 in passed_t1:
-        if r != families_r:
-            families_r, families = r, _stage_families(ctx, r)
         t = Triple(ctx, r, e, d)
         stage = 1
-        for family in families:
-            if all(test_candidate(t, f, eps0, delta) for f, delta in family):
-                stage += 1
-            else:
+        for family in _stage_families(ctx, r):
+            if not all(test_candidate(t, f, eps0, delta) for f, delta in family):
                 break
+            stage += 1
         stage_records.append((t, stage))
     # t_counts[i] counts the candidates that passed stage T(i+1).
     t_counts = tuple(sum(stage > i for _, stage in stage_records) for i in range(STAGES))

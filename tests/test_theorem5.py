@@ -122,26 +122,47 @@ def test_check_aux_lemmas_pinned_cases():
 
 
 def test_spec_derives_its_matrices_once(monkeypatch):
-    # random_spec and both checks share one M_d(f^e), one M_d(f^{e+1}) and
-    # one inversion of M_d(f^e).
-    built, inverted = [], []
-    real_m, real_inverse = theorem5.m_matrix, theorem5.inverse
+    # random_spec and both checks share one expansion of f^e (L, with M_d(f^e)
+    # as its last d columns), one M_d(f^{e+1}) and one inversion of M_d(f^e).
+    built, powered, inverted = [], [], []
+    real_m, real_pow, real_inverse = theorem5.m_matrix, theorem5.poly_pow, theorem5.inverse
 
     def counting_m(f, e, d):
         built.append((f, e, d))
         return real_m(f, e, d)
+
+    def counting_pow(f, e):
+        powered.append((f, e))
+        return real_pow(f, e)
 
     def counting_inverse(M):
         inverted.append(M)
         return real_inverse(M)
 
     monkeypatch.setattr(theorem5, "m_matrix", counting_m)
+    monkeypatch.setattr(theorem5, "poly_pow", counting_pow)
     monkeypatch.setattr(theorem5, "inverse", counting_inverse)
     spec = random_spec(prime_ctx(13), 4, 10, random.Random(2))
     assert check_theorem5(spec)["holds"]
     assert check_aux_lemmas(spec)["holds"]
-    assert sorted((e, d) for f, e, d in built if f == spec.f) == [(10, 3), (11, 3)]
+    assert [(e, d) for f, e, d in built if f == spec.f] == [(11, 3)]
+    assert [e for f, e in powered if f == spec.f] == [10]
     assert sum(M == spec.Me for M in inverted) == 1
+
+
+@pytest.mark.parametrize("p", [5, 13, 23])
+def test_me_read_from_l_matches_m_matrix(p):
+    # M_d(f^e) taken from the window L equals an independent m_matrix build,
+    # for a dense f and for x^r + x + 1 (m_matrix's sparse window)
+    ctx = prime_ctx(p)
+    rng = random.Random(p)
+    for r, e in admissible_pairs(ctx):
+        for f in (
+            FpPoly(ctx, [rng.randrange(p) for _ in range(r)] + [1]),
+            monomial_sum(ctx, [(r, 1), (1, 1), (0, 1)]),
+        ):
+            spec = StructuredSpec(ctx, r, e, f)
+            assert spec.Me == m_matrix(f, e, spec.d), (r, e, f.coeffs)
 
 
 def test_singular_m_raises_from_both_checks():

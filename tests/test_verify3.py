@@ -1,5 +1,7 @@
+import csv
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -217,3 +219,35 @@ def test_t1_takes_discriminants_only_at_r_with_candidates(monkeypatch):
     }
     assert with_members and 2 not in with_members
     assert Counter(calls) == {(kind, r): 1 for kind in (XR_MINUS_1, XR_MINUS_X) for r in with_members}
+
+
+def test_verify_prime_builds_one_polynomial_per_test(monkeypatch):
+    # each T2-T4 test polynomial is built when a test draws it, so a survivor
+    # that stops at its first test costs one polynomial, not its degree's 2r
+    import discdet.verify3 as verify3_mod
+
+    built, tested = [], []
+    real_sum, real_test = verify3_mod.monomial_sum, verify3_mod.test_candidate
+
+    def counting_sum(*args):
+        built.append(args)
+        return real_sum(*args)
+
+    def counting_test(*args):
+        tested.append(args)
+        return real_test(*args)
+
+    monkeypatch.setattr(verify3_mod, "monomial_sum", counting_sum)
+    monkeypatch.setattr(verify3_mod, "test_candidate", counting_test)
+    verify_prime(prime_ctx(7561))
+    assert len(built) == len(tested) > 0
+
+
+@pytest.mark.parametrize("p", [7561, 15121])
+def test_stage_records_match_direct_records(p):
+    # the stages reached past T1, as recorded for the benchmark's direct_stages
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "direct_records.csv"
+    with open(path) as fh:
+        want = sorted(tuple(int(v) for v in row) for row in list(csv.reader(fh))[1:] if int(row[0]) == p)
+    got = sorted((p, t.r, t.e, t.d, stage) for t, stage in verify_prime(prime_ctx(p)).stage_records)
+    assert want and got == want
