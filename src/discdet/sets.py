@@ -7,6 +7,10 @@ specialized polynomials x^r - 1 and x^r - x, the candidate classes C1-C4
 (``enumerate_C``) and their stage T1 test (``t1_survivors``, the integer
 kernel that verify3 runs, tested against ``enumerate_C``), and the kappa
 invariant that controls which d = 1 candidates survive the x^r - x test.
+
+``t1_survivors`` compares only the binomial products of the two closed forms,
+the signs folded into one factor per class, and walks C2 as r -> l -> d so
+that each C2 member extends two running products by one factor each.
 """
 
 from dataclasses import dataclass
@@ -150,23 +154,17 @@ def enumerate_B(ctx: PrimeCtx):
     return sorted(out, key=Triple.as_tuple)
 
 
-def xr1_det(ctx: PrimeCtx, r: int, e: int, d: int, gh: int) -> int:
-    """Closed-form det M_d((x^r-1)^e) for (r, e, d) in U with r | p-1 and
-    g/2 = gh."""
-    p = ctx.p
+def det_xr1(t: Triple) -> int:
+    """Closed-form det M_d((x^r-1)^e) for t in U with r | p-1:
+    (-1)^{d(d-1)/2 + (r-1)g/2} prod_{i=1..d} C(e, i(p-1)/r)."""
+    ctx, p, r, e, d = t.ctx, t.p, t.r, t.e, t.d
+    if (p - 1) % r or not in_U(t):
+        raise ValueError(f"{t} needs r | p-1 and membership in U")
     s = (p - 1) // r
-    out = -1 if (d * (d - 1) // 2 + (r - 1) * gh) % 2 else 1
+    out = -1 if (d * (d - 1) // 2 + (r - 1) * half_g(p, r, e, d)) % 2 else 1
     for i in range(1, d + 1):
         out = out * binom(ctx, e, i * s) % p
     return out % p
-
-
-def det_xr1(t: Triple) -> int:
-    """Closed-form det M_d((x^r-1)^e) for t in U with r | p-1."""
-    p, r, e, d = t.p, t.r, t.e, t.d
-    if (p - 1) % r or not in_U(t):
-        raise ValueError(f"{t} needs r | p-1 and membership in U")
-    return xr1_det(t.ctx, r, e, d, half_g(p, r, e, d))
 
 
 def _xrx_det(ctx: PrimeCtx, j: int, r: int, e: int, d: int, l: int, gh: int) -> int:
@@ -255,43 +253,116 @@ def enumerate_C(j: int, ctx: PrimeCtx):
     return sorted(out, key=lambda pair: pair[0].as_tuple())
 
 
+def _bare_products(ctx: PrimeCtx, r: int):
+    """(j, e, d, p1, px, sign) for every member of C1-C4 outside B at r | p-1.
+
+    p1 = prod_{i=1..d} C(e, i(p-1)/r) and px is the product of binomials in
+    the C_j closed form for x^r-x (as in ``_xrx_det``), so by the sign
+    identity in ``t1_survivors`` the member passes T1 iff
+    px = sign * p1 * (-rho)^{g/2}.  The parameter ranges of ``_params`` give
+    0 <= k <= e < p for every binomial C(e, k), so each is read from the
+    factorial tables with no range check.  C1, C3 and C4 take their d factors
+    per member; C2 is walked as l -> d, so each of its members multiplies one
+    more factor into each of two running products.
+    """
+    p, fact, inv_fact = ctx.p, ctx.fact, ctx.inv_fact
+    s = (p - 1) // r
+
+    def products(e, ks):
+        f = fact[e]
+        p1 = px = 1
+        for i, k in enumerate(ks, 1):
+            p1 = p1 * f % p * inv_fact[i * s] % p * inv_fact[e - i * s] % p
+            px = px * f % p * inv_fact[k] % p * inv_fact[e - k] % p
+        return p1, px
+
+    # C4 members repeat a C1-C3 member only at d = r-2, so only those are kept.
+    taken = set()
+    if r > 2:  # C1 at r = 2 lies wholly in B: d = 1 = r-1 and e > (p-1)/2
+        for e, d, l in _params(1, p, r):
+            if _in_B(p, r, e, d) is None:
+                if d == r - 2:
+                    taken.add(e)
+                # products(e, (s - l,)) written out: C1 is 54% of the members
+                # outside B over the odd primes below 2000, and the call and
+                # loop of products() cost more than its one factor pair
+                f = fact[e]
+                yield 1, e, d, f * inv_fact[s] % p * inv_fact[e - s] % p, \
+                    f * inv_fact[s - l] % p * inv_fact[e - s + l] % p, 1
+    if s % (r - 1) == 0:
+        # _params(2) with l outermost: d runs 2..min(r, l // tt).  B can hold
+        # a member only at d in {r-2, r-1, r}, and which of those it holds
+        # depends on (r, l) alone.
+        tt = s // (r - 1)
+        step = r * tt  # (p-1)/(r-1)
+        for l in range(2 * tt, step + 1):
+            e, top = (r - 1) * l, min(r, l // tt)
+            in_b = [d for d in range(max(2, r - 2), top + 1) if _in_B(p, r, e, d) is not None]
+            f = fact[e]
+            p1 = f * inv_fact[s] % p * inv_fact[e - s] % p
+            px = f * inv_fact[step - l] % p * inv_fact[e - step + l] % p
+            for d in range(2, top + 1):
+                k1, kx = d * s, d * step - l
+                p1 = p1 * f % p * inv_fact[k1] % p * inv_fact[e - k1] % p
+                px = px * f % p * inv_fact[kx] % p * inv_fact[e - kx] % p
+                if d in in_b:
+                    continue
+                if d == r - 2:
+                    taken.add(e)
+                yield 2, e, d, p1, px, 1
+    step = (p + 1) // (r - 1)
+    for e, d, l in _params(3, p, r):
+        if _in_B(p, r, e, d) is None:
+            if d == r - 2:
+                taken.add(e)
+            ks = [step * i - l for i in range(1, d + 1)]
+            yield 3, e, d, *products(e, ks), -1 if d * (d - 1) // 2 % 2 else 1
+    if r > 2:
+        # C4 with d in {r-1, r} lies wholly in B, so _params(4) stops at
+        # d = r-2: U's d(p-1) <= re <= r(p-1) gives r(p-1-e) <= p-1 for
+        # d = r-1 (B0, as e > (p-1)/2 for r >= 3) and e = p-1 for d = r (B+).
+        for e, d, l in _params(4, p, r):
+            if _in_B(p, r, e, d) is None and e not in taken and _in_U(p, r, e, d):
+                ks = [-((i * p - d) // -(r - 1)) - s - l for i in range(1, d + 1)]
+                sign = bracket(-p, r - 1) * (-1 if d * (d - 1) // 2 % 2 else 1)
+                yield 4, e, d, *products(e, ks), sign
+
+
 def t1_survivors(ctx: PrimeCtx):
     """Stage T1 over every member of C1-C4 outside B, in one pass.
 
     Returns (c_counts, survivors): the number of members of each class, and
     the ascending (r, e, d, eps0) of the members whose closed-form
     det M_d((x^r-x)^e) equals eps0 * Delta(x^r-x)^{g/2}, where
-    eps0 = det M_d((x^r-1)^e) / Delta(x^r-1)^{g/2}.  Both discriminants are
-    taken once per r, at r's first member outside B.  B members are rejected
-    before any binomial is taken, and two ranges are never visited because
-    they lie wholly in B:
-      * C1 at r = 2: d = 1 = r-1 and e = s+l > s = (p-1)/2, so B0;
-      * C4 with d in {r-1, r}: U's d(p-1) <= re <= r(p-1) gives
-        r(p-1-e) <= p-1 for d = r-1 (so B0, as e > (p-1)/2 for r >= 3)
-        and e = p-1 for d = r (so B+).
+    eps0 = det M_d((x^r-1)^e) / Delta(x^r-1)^{g/2}.
+
+    Sign identity: the closed forms are
+    det M_d((x^r-1)^e) = (-1)^{d(d-1)/2 + (r-1)g/2} p1 and
+    det M_d((x^r-x)^e) = sign_j (-1)^{r g/2} px, so with
+    rho = Delta(x^r-x) / Delta(x^r-1) the T1 identity reads
+    px = sign_j (-1)^{d(d-1)/2} p1 (-rho)^{g/2}; the product of signs is 1 for
+    C1 and C2, (-1)^{d(d-1)/2} for C3 and bracket(-p, r-1) (-1)^{d(d-1)/2}
+    for C4.  Each member costs one pow, and eps0 is taken for survivors only.
+    rho and Delta(x^r-1)^{-1} are taken once per r, at r's first member
+    outside B.  B can hold a member only at d in {r-2, r-1, r}; the walk
+    (``_bare_products``) never visits C1 at r = 2 or C4 with d in {r-1, r},
+    which lie wholly in B.  half_g is taken for every member, so a g that is
+    not a positive even integer raises BadExponent.
     """
     p = ctx.p
     counts = [0, 0, 0, 0]
     survivors = []
     for r in _divisors(p - 1):
-        taken = set()
-        inv_d1 = None
-        for j in (1, 2, 3, 4) if r > 2 else (2, 3):
-            for e, d, l in _params(j, p, r):
-                if _in_B(p, r, e, d) is not None:
-                    continue
-                if j < 4:
-                    taken.add((e, d))
-                elif (e, d) in taken or not _in_U(p, r, e, d):
-                    continue
-                counts[j - 1] += 1
-                if inv_d1 is None:
-                    inv_d1 = ctx.inv(special_discriminant(XR_MINUS_1, r, ctx))
-                    rho = special_discriminant(XR_MINUS_X, r, ctx) * inv_d1 % p
-                gh = half_g(p, r, e, d)
-                xr1 = xr1_det(ctx, r, e, d, gh)
-                if _xrx_det(ctx, j, r, e, d, l, gh) == xr1 * pow(rho, gh, p) % p:
-                    survivors.append((r, e, d, xr1 * pow(inv_d1, gh, p) % p))
+        neg_rho = None
+        for j, e, d, p1, px, sign in _bare_products(ctx, r):
+            counts[j - 1] += 1
+            if neg_rho is None:
+                inv_d1 = ctx.inv(special_discriminant(XR_MINUS_1, r, ctx))
+                neg_rho = -special_discriminant(XR_MINUS_X, r, ctx) * inv_d1 % p
+            gh = half_g(p, r, e, d)
+            if px == sign * p1 * pow(neg_rho, gh, p) % p:
+                xr1 = -p1 if (d * (d - 1) // 2 + (r - 1) * gh) % 2 else p1
+                survivors.append((r, e, d, xr1 * pow(inv_d1, gh, p) % p))
     survivors.sort()
     return tuple(counts), survivors
 

@@ -28,6 +28,7 @@ from discdet.sets import (
     in_U,
     kappa,
     kappa_survivor_primes,
+    t1_survivors,
 )
 
 
@@ -241,3 +242,25 @@ def test_kappa_survivors_actually_survive_t1():
             continue  # members of B are not pipeline candidates
         rep = verify_prime(prime_ctx(p))
         assert t.as_tuple() in {u.as_tuple() for u, _ in rep.stage_records}, (p, t)
+
+
+def test_kappa_predicts_every_small_s_c1_survivor():
+    # an oracle for the C1 closed forms that takes no binomial: for every odd
+    # prime p <= 3000, the d = 1 T1 survivors with s = (p-1)/r <= 20 are
+    # exactly the kappa survivors with s <= 20 outside B
+    got = set()
+    for p in range(3, 3001):
+        if not is_prime(p):
+            continue
+        for r, e, d, _ in t1_survivors(prime_ctx(p))[1]:
+            if d == 1 and (p - 1) // r <= 20:
+                got.add((p, r, e))
+    want = {
+        (p, t.r, t.e)
+        for s in range(1, 21)
+        for l in range(1, s + 1)
+        for p, t in kappa_survivor_primes(s, l, 3000)
+        if in_B(t) is None
+    }
+    assert len(want) == 47
+    assert got == want

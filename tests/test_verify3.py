@@ -138,38 +138,58 @@ def test_avg_str_rounding():
     assert stats.avg_str(4) == "4.19536"
 
 
+def _reference_t1(ctx):
+    """T1 by the reference enumerate_C + in_B + baseline_eps0: the per-class
+    counts, the sorted (r, e, d, eps0) of the survivors and every member
+    outside B."""
+    p = ctx.p
+    closed, members = [], []
+    counts = [0, 0, 0, 0]
+    for j in (1, 2, 3, 4):
+        for t, cd in enumerate_C(j, ctx):
+            if in_B(t) is not None:
+                continue
+            counts[j - 1] += 1
+            members.append(t)
+            gh = g_exponent(t).numerator // 2
+            eps0 = baseline_eps0(t)
+            if cd == eps0 * pow(special_discriminant(XR_MINUS_X, t.r, ctx), gh, p) % p:
+                closed.append((*t.as_tuple(), eps0))
+    return tuple(counts), sorted(closed), members
+
+
 def test_stage1_closed_form_matches_direct_det():
     # the integer kernel's per-class counts, T1 survivors and their eps0
-    # agree with the reference enumerate_C + in_B + baseline_eps0, and for
-    # the smaller primes the T1 decisions agree with evaluating
-    # det M_d((x^r-x)^e) directly
+    # agree with the reference, and for the smaller primes the T1 decisions
+    # agree with evaluating det M_d((x^r-x)^e) directly
     for p in range(3, 300):
         if not is_prime(p):
             continue
         ctx = prime_ctx(p)
         rep = verify_prime(ctx)
         passed_t1 = {t.as_tuple() for t, _ in rep.stage_records}
-        closed, direct = [], set()
-        counts = [0, 0, 0, 0]
-        for j in (1, 2, 3, 4):
-            for t, cd in enumerate_C(j, ctx):
-                if in_B(t) is not None:
-                    continue
-                counts[j - 1] += 1
-                gh = g_exponent(t).numerator // 2
-                eps0 = baseline_eps0(t)
-                d_xrx = special_discriminant(XR_MINUS_X, t.r, ctx)
-                if cd == eps0 * pow(d_xrx, gh, p) % p:
-                    closed.append((*t.as_tuple(), eps0))
-                if p in (5, 7, 13, 31, 61):
-                    f = monomial_sum(ctx, [(t.r, 1), (1, -1)])
-                    if det_identity_holds(t, f, eps0, d_xrx):
-                        direct.add(t.as_tuple())
-        assert t1_survivors(ctx) == (tuple(counts), sorted(closed)), p
-        assert rep.c_counts == tuple(counts), p
+        counts, closed, members = _reference_t1(ctx)
+        assert t1_survivors(ctx) == (counts, closed), p
+        assert rep.c_counts == counts, p
         assert passed_t1 == {row[:3] for row in closed}, p
         if p in (5, 7, 13, 31, 61):
+            d_xrx = {t.r: special_discriminant(XR_MINUS_X, t.r, ctx) for t in members}
+            direct = {
+                t.as_tuple() for t in members
+                if det_identity_holds(t, monomial_sum(ctx, [(t.r, 1), (1, -1)]),
+                                      baseline_eps0(t), d_xrx[t.r])
+            }
             assert passed_t1 == direct, p
+
+
+@pytest.mark.parametrize("p", [1801, 2161, 6301, 7561])
+def test_stage1_closed_form_matches_reference_at_c2_scale(p):
+    # p-1 with many divisors r where (r-1) | (p-1)/r: 3.5k-30k C2 members
+    # outside B, so the C2 walk's running products reach d = r at large r
+    ctx = prime_ctx(p)
+    counts, closed, _ = _reference_t1(ctx)
+    assert counts[1] > 3000
+    assert t1_survivors(ctx) == (counts, closed)
 
 
 @pytest.mark.parametrize("p", [6301, 20161])
@@ -219,6 +239,23 @@ def test_t1_takes_discriminants_only_at_r_with_candidates(monkeypatch):
     }
     assert with_members and 2 not in with_members
     assert Counter(calls) == {(kind, r): 1 for kind in (XR_MINUS_1, XR_MINUS_X) for r in with_members}
+
+
+def test_t1_takes_no_per_member_closed_form(monkeypatch):
+    # the T1 pass reads the factorial tables itself: the reference closed
+    # forms and ff.binom are never called
+    import discdet.sets as sets_mod
+
+    ctx = prime_ctx(1801)
+    want = t1_survivors(ctx)
+
+    def forbidden(*args):
+        raise AssertionError("per-member closed form called")
+
+    for name in ("det_xr1", "_xrx_det", "binom"):
+        monkeypatch.setattr(sets_mod, name, forbidden)
+    assert t1_survivors(ctx) == want
+    assert want[0][1] > 0 and all(want[0])
 
 
 def test_verify_prime_builds_one_polynomial_per_test(monkeypatch):
