@@ -8,9 +8,12 @@ specialized polynomials x^r - 1 and x^r - x, the candidate classes C1-C4
 kernel that verify3 runs, tested against ``enumerate_C``), and the kappa
 invariant that controls which d = 1 candidates survive the x^r - x test.
 
-``t1_survivors`` compares only the binomial products of the two closed forms,
-the signs folded into one factor per class, and walks C2 as r -> l -> d so
-that each C2 member extends two running products by one factor each.
+``t1_survivors`` compares the ratio of the two closed forms' binomial
+products, with their common fact[e]^d cancelled, against a sign times
+(-rho)^{g/2}.  It walks C2 and C3 as r -> l -> d, where g/2 is quadratic in
+d, so (-rho)^{g/2} is carried along d with no pow per member; C1 and C4 keep
+one pow per member.  C2 carries its whole ratio along d; C3, whose e moves
+with d, carries the half that does not depend on e.
 """
 
 from dataclasses import dataclass
@@ -253,79 +256,105 @@ def enumerate_C(j: int, ctx: PrimeCtx):
     return sorted(out, key=lambda pair: pair[0].as_tuple())
 
 
-def _bare_products(ctx: PrimeCtx, r: int):
-    """(j, e, d, p1, px, sign) for every member of C1-C4 outside B at r | p-1.
+def _bare_products(ctx: PrimeCtx, r: int, neg_rho: int):
+    """(j, e, d, gh, lhs, rhs) for every member of C1-C4 outside B at r | p-1, r >= 3.
 
-    p1 = prod_{i=1..d} C(e, i(p-1)/r) and px is the product of binomials in
-    the C_j closed form for x^r-x (as in ``_xrx_det``), so by the sign
-    identity in ``t1_survivors`` the member passes T1 iff
-    px = sign * p1 * (-rho)^{g/2}.  The parameter ranges of ``_params`` give
-    0 <= k <= e < p for every binomial C(e, k), so each is read from the
-    factorial tables with no range check.  C1, C3 and C4 take their d factors
-    per member; C2 is walked as l -> d, so each of its members multiplies one
-    more factor into each of two running products.
+    gh = g/2, and the member passes T1 iff lhs == rhs, the ratio form of the
+    identity in ``t1_survivors``: lhs = prod_{i=1..d} C(e, k_i) / C(e, i(p-1)/r)
+    over the binomials of the C_j closed form for x^r-x (as in ``_xrx_det``)
+    and of x^r-1, and rhs = sign_j (-rho)^{g/2} with neg_rho = -rho.  The
+    common fact[e]^d cancels (e < p), so each quotient is read from the
+    factorial tables as inv_fact[k] inv_fact[e-k] fact[is] fact[e-is], with no
+    range check: the parameter ranges of ``_params`` give 0 <= k <= e < p.
+
+    C2 and C3 are walked as l -> d, and both have g/2 = l d - m d(d+1)/2
+    (m = (p-1)/(r(r-1)) for C2, ((p-1)/r + 2)/(r-1) for C3), so (-rho)^{g/2}
+    is carried along d by two running factors, (-rho)^{l-md} and (-rho)^{-m},
+    the first started from its value at the previous l: two pows per r and
+    class, none per member.  C2 (e = (r-1)l) carries lhs itself along d.  C3
+    (e = (r-1)l - d - 1) carries only its e-free half prod 1/k_i!
+    (k_i = (p+1)/(r-1) i - l) and takes the rest in d steps per member.  C4 is
+    small and takes one pow per member.  So does C1, whose g/2 = l could be
+    carried as well; it is left as it is while the benchmark's peak RSS grows
+    with the number of rounds a faster T1 fits into a run (ROADMAP item 1).
     """
     p, fact, inv_fact = ctx.p, ctx.fact, ctx.inv_fact
     s = (p - 1) // r
-
-    def products(e, ks):
-        f = fact[e]
-        p1 = px = 1
-        for i, k in enumerate(ks, 1):
-            p1 = p1 * f % p * inv_fact[i * s] % p * inv_fact[e - i * s] % p
-            px = px * f % p * inv_fact[k] % p * inv_fact[e - k] % p
-        return p1, px
-
+    fs = fact[s]
     # C4 members repeat a C1-C3 member only at d = r-2, so only those are kept.
     taken = set()
-    if r > 2:  # C1 at r = 2 lies wholly in B: d = 1 = r-1 and e > (p-1)/2
-        for e, d, l in _params(1, p, r):
-            if _in_B(p, r, e, d) is None:
-                if d == r - 2:
-                    taken.add(e)
-                # products(e, (s - l,)) written out: C1 is 54% of the members
-                # outside B over the odd primes below 2000, and the call and
-                # loop of products() cost more than its one factor pair
-                f = fact[e]
-                yield 1, e, d, f * inv_fact[s] % p * inv_fact[e - s] % p, \
-                    f * inv_fact[s - l] % p * inv_fact[e - s + l] % p, 1
+    for e, d, l in _params(1, p, r):
+        if _in_B(p, r, e, d) is None:
+            if d == r - 2:
+                taken.add(e)
+            gh = half_g(p, r, e, d)
+            yield 1, e, d, gh, fs * inv_fact[s - l] % p * inv_fact[e - s + l] % p * fact[e - s] % p, \
+                pow(neg_rho, gh, p)
     if s % (r - 1) == 0:
-        # _params(2) with l outermost: d runs 2..min(r, l // tt).  B can hold
+        # _params(2) with l outermost: d runs 2..min(r, l // m).  B can hold
         # a member only at d in {r-2, r-1, r}, and which of those it holds
         # depends on (r, l) alone.
-        tt = s // (r - 1)
-        step = r * tt  # (p-1)/(r-1)
-        for l in range(2 * tt, step + 1):
-            e, top = (r - 1) * l, min(r, l // tt)
+        m = s // (r - 1)
+        step = r * m  # (p-1)/(r-1)
+        up, down = pow(neg_rho, m, p), pow(neg_rho, -m, p)  # up = (-rho)^{l-m} at d = 1
+        for l in range(2 * m, step + 1):
+            e, top = (r - 1) * l, min(r, l // m)
             in_b = [d for d in range(max(2, r - 2), top + 1) if _in_B(p, r, e, d) is not None]
-            f = fact[e]
-            p1 = f * inv_fact[s] % p * inv_fact[e - s] % p
-            px = f * inv_fact[step - l] % p * inv_fact[e - step + l] % p
+            q = fs * inv_fact[step - l] % p * inv_fact[e - step + l] % p * fact[e - s] % p
+            w, v = up, up * down % p
+            up = up * neg_rho % p
             for d in range(2, top + 1):
                 k1, kx = d * s, d * step - l
-                p1 = p1 * f % p * inv_fact[k1] % p * inv_fact[e - k1] % p
-                px = px * f % p * inv_fact[kx] % p * inv_fact[e - kx] % p
+                q = q * inv_fact[kx] % p * inv_fact[e - kx] % p * fact[k1] % p * fact[e - k1] % p
+                w = w * v % p
+                v = v * down % p
                 if d in in_b:
                     continue
                 if d == r - 2:
                     taken.add(e)
-                yield 2, e, d, p1, px, 1
-    step = (p + 1) // (r - 1)
-    for e, d, l in _params(3, p, r):
-        if _in_B(p, r, e, d) is None:
-            if d == r - 2:
-                taken.add(e)
-            ks = [step * i - l for i in range(1, d + 1)]
-            yield 3, e, d, *products(e, ks), -1 if d * (d - 1) // 2 % 2 else 1
-    if r > 2:
-        # C4 with d in {r-1, r} lies wholly in B, so _params(4) stops at
-        # d = r-2: U's d(p-1) <= re <= r(p-1) gives r(p-1-e) <= p-1 for
-        # d = r-1 (B0, as e > (p-1)/2 for r >= 3) and e = p-1 for d = r (B+).
-        for e, d, l in _params(4, p, r):
-            if _in_B(p, r, e, d) is None and e not in taken and _in_U(p, r, e, d):
-                ks = [-((i * p - d) // -(r - 1)) - s - l for i in range(1, d + 1)]
+                yield 2, e, d, half_g(p, r, e, d), q, w
+    if (p + 1) % (r - 1) == 0:
+        # _params(3) with l outermost: d runs 2..min(r-1, l // m), where
+        # m = T - s is an integer because (r-1)(T+2) = r(s+2).
+        big = (p + 1) // (r - 1)  # T
+        m = big - s
+        facts = [1]  # facts[d] = prod_{i=1..d} (is)!
+        for i in range(1, r):
+            facts.append(facts[-1] * fact[i * s] % p)
+        up, down = pow(neg_rho, m, p), pow(neg_rho, -m, p)
+        for l in range(2 * m, big + 1):
+            top = min(r - 1, l // m)
+            a = inv_fact[big - l]
+            w, v = up, up * down % p
+            up = up * neg_rho % p
+            for d in range(2, top + 1):
+                a = a * inv_fact[big * d - l] % p
+                w = w * v % p
+                v = v * down % p
+                e = (r - 1) * l - d - 1
+                if d >= r - 2 and _in_B(p, r, e, d) is not None:
+                    continue
+                if d == r - 2:
+                    taken.add(e)
+                q = a * facts[d] % p
+                for i in range(1, d + 1):
+                    q = q * inv_fact[e + l - big * i] % p * fact[e - s * i] % p
+                yield 3, e, d, half_g(p, r, e, d), q, p - w if d * (d - 1) // 2 % 2 else w
+    # C4 with d in {r-1, r} lies wholly in B, so _params(4) stops at
+    # d = r-2: U's d(p-1) <= re <= r(p-1) gives r(p-1-e) <= p-1 for
+    # d = r-1 (B0, as e > (p-1)/2 for r >= 3) and e = p-1 for d = r (B+).
+    offs = None
+    for e, d, l in _params(4, p, r):
+        if _in_B(p, r, e, d) is None and e not in taken and _in_U(p, r, e, d):
+            if offs is None:
+                offs = [-((i * p - d) // -(r - 1)) - s for i in range(1, d + 1)]
                 sign = bracket(-p, r - 1) * (-1 if d * (d - 1) // 2 % 2 else 1)
-                yield 4, e, d, *products(e, ks), sign
+            q = 1
+            for i, off in enumerate(offs, 1):
+                k = off - l
+                q = q * inv_fact[k] % p * inv_fact[e - k] % p * fact[i * s] % p * fact[e - i * s] % p
+            gh = half_g(p, r, e, d)
+            yield 4, e, d, gh, q, sign * pow(neg_rho, gh, p) % p
 
 
 def t1_survivors(ctx: PrimeCtx):
@@ -340,28 +369,33 @@ def t1_survivors(ctx: PrimeCtx):
     det M_d((x^r-1)^e) = (-1)^{d(d-1)/2 + (r-1)g/2} p1 and
     det M_d((x^r-x)^e) = sign_j (-1)^{r g/2} px, so with
     rho = Delta(x^r-x) / Delta(x^r-1) the T1 identity reads
-    px = sign_j (-1)^{d(d-1)/2} p1 (-rho)^{g/2}; the product of signs is 1 for
-    C1 and C2, (-1)^{d(d-1)/2} for C3 and bracket(-p, r-1) (-1)^{d(d-1)/2}
-    for C4.  Each member costs one pow, and eps0 is taken for survivors only.
-    rho and Delta(x^r-1)^{-1} are taken once per r, at r's first member
-    outside B.  B can hold a member only at d in {r-2, r-1, r}; the walk
-    (``_bare_products``) never visits C1 at r = 2 or C4 with d in {r-1, r},
-    which lie wholly in B.  half_g is taken for every member, so a g that is
-    not a positive even integer raises BadExponent.
+    px / p1 = sign_j (-1)^{d(d-1)/2} (-rho)^{g/2}; the product of signs is 1
+    for C1 and C2, (-1)^{d(d-1)/2} for C3 and bracket(-p, r-1) (-1)^{d(d-1)/2}
+    for C4.  ``_bare_products`` yields both sides with fact[e]^d cancelled;
+    C2 and C3 carry (-rho)^{g/2} along their walk, and C1 and C4 take one pow
+    per member.  p1 and eps0 are taken for survivors only.  Every C1-C4
+    member at r = 2 lies in B (C1 in B0, C2 in B+, no C3 or C4), so r = 2 is
+    skipped, and each r >= 3 has a C1 member outside B, so rho and
+    Delta(x^r-1)^{-1} are taken once per r >= 3.  B can hold a member only at
+    d in {r-2, r-1, r}; the walk never visits C4 with d in {r-1, r}, which
+    lies wholly in B.  half_g is taken for every member, so a g that is not a
+    positive even integer raises BadExponent.
     """
-    p = ctx.p
+    p, fact, inv_fact = ctx.p, ctx.fact, ctx.inv_fact
     counts = [0, 0, 0, 0]
     survivors = []
-    for r in _divisors(p - 1):
-        neg_rho = None
-        for j, e, d, p1, px, sign in _bare_products(ctx, r):
+    for r in _divisors(p - 1)[1:]:  # skips r = 2, as p-1 is even
+        s = (p - 1) // r
+        inv_d1 = ctx.inv(special_discriminant(XR_MINUS_1, r, ctx))
+        neg_rho = -special_discriminant(XR_MINUS_X, r, ctx) * inv_d1 % p
+        for j, e, d, gh, lhs, rhs in _bare_products(ctx, r, neg_rho):
             counts[j - 1] += 1
-            if neg_rho is None:
-                inv_d1 = ctx.inv(special_discriminant(XR_MINUS_1, r, ctx))
-                neg_rho = -special_discriminant(XR_MINUS_X, r, ctx) * inv_d1 % p
-            gh = half_g(p, r, e, d)
-            if px == sign * p1 * pow(neg_rho, gh, p) % p:
-                xr1 = -p1 if (d * (d - 1) // 2 + (r - 1) * gh) % 2 else p1
+            if lhs == rhs:
+                xr1 = 1
+                for i in range(1, d + 1):
+                    xr1 = xr1 * fact[e] % p * inv_fact[i * s] % p * inv_fact[e - i * s] % p
+                if (d * (d - 1) // 2 + (r - 1) * gh) % 2:
+                    xr1 = -xr1
                 survivors.append((r, e, d, xr1 * pow(inv_d1, gh, p) % p))
     survivors.sort()
     return tuple(counts), survivors

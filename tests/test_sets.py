@@ -17,12 +17,16 @@ from discdet.sets import (
     NotInB,
     NotInD,
     Triple,
+    _divisors,
+    _in_B,
+    _params,
     degree_balance,
     det_xr1,
     enumerate_B,
     enumerate_C,
     epsilon,
     g_exponent,
+    half_g,
     in_B,
     in_D,
     in_U,
@@ -161,17 +165,38 @@ def test_closed_form_xrx_dets_match_direct():
 
 
 def test_ranges_the_kernel_skips_lie_in_B():
-    # t1_survivors() never visits C1 at r = 2 or C4 with d in {r-1, r}
+    # t1_survivors() never visits r = 2 or C4 with d in {r-1, r}
     for p in range(3, 400):
         if not is_prime(p):
             continue
         ctx = prime_ctx(p)
-        for t, _ in enumerate_C(1, ctx):
-            if t.r == 2:
-                assert in_B(t) is not None, t
-        for t, _ in enumerate_C(4, ctx):
-            if t.d >= t.r - 1:
-                assert in_B(t) is not None, t
+        for j in (1, 2, 3, 4):
+            for t, _ in enumerate_C(j, ctx):
+                if t.r == 2 or (j == 4 and t.d >= t.r - 1):
+                    assert in_B(t) is not None, (j, t)
+
+
+def test_c2_c3_half_g_closed_forms():
+    # the carry of (-rho)^{g/2} along d in t1_survivors relies on
+    # g/2 = l d - m d(d+1)/2, with m = s/(r-1) for C2 and m = (s+2)/(r-1)
+    # for C3 (s = (p-1)/r)
+    checked = [0, 0]
+    for p in range(3, 2000):
+        if not is_prime(p):
+            continue
+        for r in _divisors(p - 1):
+            s = (p - 1) // r
+            for j in (2, 3):
+                members = [(e, d, l) for e, d, l in _params(j, p, r) if _in_B(p, r, e, d) is None]
+                if not members:
+                    continue
+                if j == 3:
+                    assert (s + 2) % (r - 1) == 0, (p, r)
+                m = (s if j == 2 else s + 2) // (r - 1)
+                for e, d, l in members:
+                    assert half_g(p, r, e, d) == l * d - m * d * (d + 1) // 2, (p, j, r, e, d)
+                checked[j - 2] += len(members)
+    assert min(checked) > 10000
 
 
 def test_invariants_raise_under_python_O():

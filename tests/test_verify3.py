@@ -182,13 +182,21 @@ def test_stage1_closed_form_matches_direct_det():
             assert passed_t1 == direct, p
 
 
-@pytest.mark.parametrize("p", [1801, 2161, 6301, 7561])
+# (class index, fewest members outside B) per prime
+_AT_SCALE = {1801: (1, 3000), 2161: (1, 3000), 6301: (1, 3000), 7561: (1, 3000),
+             10099: (2, 15000), 11969: (2, 15000)}
+
+
+@pytest.mark.parametrize("p", list(_AT_SCALE))
 def test_stage1_closed_form_matches_reference_at_c2_scale(p):
-    # p-1 with many divisors r where (r-1) | (p-1)/r: 3.5k-30k C2 members
-    # outside B, so the C2 walk's running products reach d = r at large r
+    # 1801-7561: p-1 with many divisors r where (r-1) | (p-1)/r, 3.5k-30k C2
+    # members outside B, so the C2 walk's running products reach d = r at
+    # large r; 10099 and 11969: p+1 with many divisors r-1, 17k and 27k C3
+    # members outside B, so the C3 walk reaches d = r-1 at large r
     ctx = prime_ctx(p)
     counts, closed, _ = _reference_t1(ctx)
-    assert counts[1] > 3000
+    j, least = _AT_SCALE[p]
+    assert counts[j] > least
     assert t1_survivors(ctx) == (counts, closed)
 
 
@@ -256,6 +264,29 @@ def test_t1_takes_no_per_member_closed_form(monkeypatch):
         monkeypatch.setattr(sets_mod, name, forbidden)
     assert t1_survivors(ctx) == want
     assert want[0][1] > 0 and all(want[0])
+
+
+def test_t1_takes_no_pow_per_c2_or_c3_member(monkeypatch):
+    # C2 and C3 carry (-rho)^{g/2} along their walk: pow is taken once per
+    # C1 or C4 member and per survivor, plus a few times per r
+    import discdet.sets as sets_mod
+
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return pow(*args)
+
+    p = 10099
+    ctx = prime_ctx(p)
+    want = t1_survivors(ctx)
+    monkeypatch.setattr(sets_mod, "pow", counted, raising=False)
+    counts, survivors = t1_survivors(ctx)
+    assert (counts, survivors) == want
+    assert counts[1] > 5000 and counts[2] > 15000
+    tau = sum(1 for i in range(1, p) if (p - 1) % i == 0)
+    assert calls <= counts[0] + counts[3] + len(survivors) + 4 * tau
 
 
 def test_verify_prime_builds_one_polynomial_per_test(monkeypatch):
