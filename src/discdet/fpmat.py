@@ -1,5 +1,7 @@
 """Dense linear algebra over F_p and the coefficient matrices M_d(f^e)."""
 
+from operator import mul
+
 from .ff import PrimeCtx
 from .poly import FpPoly, coeff_window
 
@@ -60,18 +62,10 @@ class FpMatrix:
     def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        n, m, k = self.rows, other.cols, self.cols
-        out = [0] * (n * m)
-        for i in range(n):
-            base = i * k
-            orow = i * m
-            for t in range(k):
-                a = self.data[base + t]
-                if a:
-                    obase = t * m
-                    for j in range(m):
-                        out[orow + j] += a * other.data[obase + j]
-        return FpMatrix(self.ctx, n, m, out)
+        m = other.cols
+        columns = [other.data[j::m] for j in range(m)]
+        out = [sum(map(mul, row, col)) for row in self.to_rows() for col in columns]
+        return FpMatrix(self.ctx, self.rows, m, out)
 
     def __sub__(self, other: "FpMatrix") -> "FpMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):

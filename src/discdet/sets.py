@@ -10,10 +10,17 @@ invariant that controls which d = 1 candidates survive the x^r - x test.
 
 ``t1_survivors`` compares the ratio of the two closed forms' binomial
 products, with their common fact[e]^d cancelled, against a sign times
-(-rho)^{g/2}.  It walks C2 and C3 as r -> l -> d, where g/2 is quadratic in
-d, so (-rho)^{g/2} is carried along d with no pow per member; C1 and C4 keep
-one pow per member.  C2 carries its whole ratio along d; C3, whose e moves
-with d, carries the half that does not depend on e.
+(-rho)^{g/2}.  Every class has the same shape (``_classes`` gives it as
+data), so one walk r -> l -> d serves C1-C4 and carries both sides along
+d with no pow per member:
+
+    class  a_i (k_i = a_i - l)     e               d                  m        h         sign
+    C1     s                       s + (r-1)l      1                  0        0         1
+    C2     K i, K = (p-1)/(r-1)    (r-1)l          2..min(r, l//m)    s/(r-1)  0         1
+    C3     K i, K = (p+1)/(r-1)    (r-1)l - d - 1  2..min(r-1, l//m)  K - s    0         (-1)^{d(d-1)/2}
+    C4     ceil((ip-d)/(r-1)) - s  (r-1)(s+l)      r-2                0        (r-2)s/2  [-p/(r-1)] (-1)^{d(d-1)/2}
+
+with s = (p-1)/r and g/2 = d l - m d(d+1)/2 + h.
 """
 
 from dataclasses import dataclass
@@ -256,130 +263,75 @@ def enumerate_C(j: int, ctx: PrimeCtx):
     return sorted(out, key=lambda pair: pair[0].as_tuple())
 
 
-def _bare_products(ctx: PrimeCtx, r: int, neg_rho: int):
-    """(j, e, d, gh, lhs, rhs) for every member of C1-C4 outside B at r | p-1, r >= 3.
+def _classes(p: int, r: int):
+    """C1-C4 at r | p-1 (r >= 3) as data for the walk of ``t1_survivors``.
 
-    gh = g/2, and the member passes T1 iff lhs == rhs, the ratio form of the
-    identity in ``t1_survivors``: lhs = prod_{i=1..d} C(e, k_i) / C(e, i(p-1)/r)
-    over the binomials of the C_j closed form for x^r-x (as in ``_xrx_det``)
-    and of x^r-1, and rhs = sign_j (-rho)^{g/2} with neg_rho = -rho.  The
-    common fact[e]^d cancels (e < p), so each quotient is read from the
-    factorial tables as inv_fact[k] inv_fact[e-k] fact[is] fact[e-is], with no
-    range check: the parameter ranges of ``_params`` give 0 <= k <= e < p.
-
-    C2 and C3 are walked as l -> d, and both have g/2 = l d - m d(d+1)/2
-    (m = (p-1)/(r(r-1)) for C2, ((p-1)/r + 2)/(r-1) for C3), so (-rho)^{g/2}
-    is carried along d by two running factors, (-rho)^{l-md} and (-rho)^{-m},
-    the first started from its value at the previous l: two pows per r and
-    class, none per member.  C2 (e = (r-1)l) carries lhs itself along d.  C3
-    (e = (r-1)l - d - 1) carries only its e-free half prod 1/k_i!
-    (k_i = (p+1)/(r-1) i - l) and takes the rest in d steps per member.  C4 is
-    small and takes one pow per member.  So does C1, whose g/2 = l could be
-    carried as well; it is left as it is while the benchmark's peak RSS grows
-    with the number of rounds a faster T1 fits into a run (ROADMAP item 1).
+    Yields (j, setup, c, moves, ls, d0, dmax, m, h, alt) for each class that
+    can have members outside B at r, as in the module docstring's table: the
+    members are l in ls and d0 <= d <= min(dmax, l // m) (only d0 = dmax
+    where m = 0), with e = (r-1)l + c - moves d and g/2 = d l - m d(d+1)/2 + h.
+    setup() gives the a_i, indexed from i = 0, and the constant factor of
+    the sign, which is that factor times (-1)^{alt d(d-1)/2}.  The walk calls
+    it at the class's first member outside B, so C4 builds its offsets and
+    takes its ``bracket`` only then.
     """
-    p, fact, inv_fact = ctx.p, ctx.fact, ctx.inv_fact
     s = (p - 1) // r
-    fs = fact[s]
-    # C4 members repeat a C1-C3 member only at d = r-2, so only those are kept.
-    taken = set()
-    for e, d, l in _params(1, p, r):
-        if _in_B(p, r, e, d) is None:
-            if d == r - 2:
-                taken.add(e)
-            gh = half_g(p, r, e, d)
-            yield 1, e, d, gh, fs * inv_fact[s - l] % p * inv_fact[e - s + l] % p * fact[e - s] % p, \
-                pow(neg_rho, gh, p)
+    yield 1, lambda: ((0, s), 1), s, 0, range(1, s + 1), 1, 1, 0, 0, 0
     if s % (r - 1) == 0:
-        # _params(2) with l outermost: d runs 2..min(r, l // m).  B can hold
-        # a member only at d in {r-2, r-1, r}, and which of those it holds
-        # depends on (r, l) alone.
         m = s // (r - 1)
-        step = r * m  # (p-1)/(r-1)
-        up, down = pow(neg_rho, m, p), pow(neg_rho, -m, p)  # up = (-rho)^{l-m} at d = 1
-        for l in range(2 * m, step + 1):
-            e, top = (r - 1) * l, min(r, l // m)
-            in_b = [d for d in range(max(2, r - 2), top + 1) if _in_B(p, r, e, d) is not None]
-            q = fs * inv_fact[step - l] % p * inv_fact[e - step + l] % p * fact[e - s] % p
-            w, v = up, up * down % p
-            up = up * neg_rho % p
-            for d in range(2, top + 1):
-                k1, kx = d * s, d * step - l
-                q = q * inv_fact[kx] % p * inv_fact[e - kx] % p * fact[k1] % p * fact[e - k1] % p
-                w = w * v % p
-                v = v * down % p
-                if d in in_b:
-                    continue
-                if d == r - 2:
-                    taken.add(e)
-                yield 2, e, d, half_g(p, r, e, d), q, w
+        k2 = r * m  # (p-1)/(r-1)
+        yield 2, lambda: (list(range(0, (r + 1) * k2, k2)), 1), 0, 0, range(2 * m, k2 + 1), 2, r, m, 0, 0
     if (p + 1) % (r - 1) == 0:
-        # _params(3) with l outermost: d runs 2..min(r-1, l // m), where
-        # m = T - s is an integer because (r-1)(T+2) = r(s+2).
-        big = (p + 1) // (r - 1)  # T
-        m = big - s
-        facts = [1]  # facts[d] = prod_{i=1..d} (is)!
-        for i in range(1, r):
-            facts.append(facts[-1] * fact[i * s] % p)
-        up, down = pow(neg_rho, m, p), pow(neg_rho, -m, p)
-        for l in range(2 * m, big + 1):
-            top = min(r - 1, l // m)
-            a = inv_fact[big - l]
-            w, v = up, up * down % p
-            up = up * neg_rho % p
-            for d in range(2, top + 1):
-                a = a * inv_fact[big * d - l] % p
-                w = w * v % p
-                v = v * down % p
-                e = (r - 1) * l - d - 1
-                if d >= r - 2 and _in_B(p, r, e, d) is not None:
-                    continue
-                if d == r - 2:
-                    taken.add(e)
-                q = a * facts[d] % p
-                for i in range(1, d + 1):
-                    q = q * inv_fact[e + l - big * i] % p * fact[e - s * i] % p
-                yield 3, e, d, half_g(p, r, e, d), q, p - w if d * (d - 1) // 2 % 2 else w
-    # C4 with d in {r-1, r} lies wholly in B, so _params(4) stops at
-    # d = r-2: U's d(p-1) <= re <= r(p-1) gives r(p-1-e) <= p-1 for
-    # d = r-1 (B0, as e > (p-1)/2 for r >= 3) and e = p-1 for d = r (B+).
-    offs = None
-    for e, d, l in _params(4, p, r):
-        if _in_B(p, r, e, d) is None and e not in taken and _in_U(p, r, e, d):
-            if offs is None:
-                offs = [-((i * p - d) // -(r - 1)) - s for i in range(1, d + 1)]
-                sign = bracket(-p, r - 1) * (-1 if d * (d - 1) // 2 % 2 else 1)
-            q = 1
-            for i, off in enumerate(offs, 1):
-                k = off - l
-                q = q * inv_fact[k] % p * inv_fact[e - k] % p * fact[i * s] % p * fact[e - i * s] % p
-            gh = half_g(p, r, e, d)
-            yield 4, e, d, gh, q, sign * pow(neg_rho, gh, p) % p
+        k3 = (p + 1) // (r - 1)
+        yield (3, lambda: (list(range(0, r * k3, k3)), 1), -1, 1, range(2 * (k3 - s), k3 + 1),
+               2, r - 1, k3 - s, 0, 1)
+    # C4 with d in {r-1, r} lies wholly in B, so only d = r-2 is walked:
+    # U's d(p-1) <= re <= r(p-1) gives r(p-1-e) <= p-1 for d = r-1 (B0, as
+    # e > (p-1)/2 for r >= 3) and e = p-1 for d = r (B+).  Its l = 0 member,
+    # e = p-1-s, lies in B-, so with t = 0 (r > 3, as s is even at r = 3)
+    # C4 has no member outside B.
+    t = s // (r - 1)
+    if t:
+        yield (4, lambda: ([-((i * p - r + 2) // -(r - 1)) - s for i in range(r - 1)],
+                           bracket(-p, r - 1)),
+               (r - 1) * s, 0, range(-t + (r == 3), t + 1), r - 2, r - 2, 0, (r - 2) * s // 2, 1)
 
 
 def t1_survivors(ctx: PrimeCtx):
-    """Stage T1 over every member of C1-C4 outside B, in one pass.
+    """Stage T1 over every member of C1-C4 outside B, in one walk.
 
     Returns (c_counts, survivors): the number of members of each class, and
     the ascending (r, e, d, eps0) of the members whose closed-form
     det M_d((x^r-x)^e) equals eps0 * Delta(x^r-x)^{g/2}, where
     eps0 = det M_d((x^r-1)^e) / Delta(x^r-1)^{g/2}.
 
-    Sign identity: the closed forms are
-    det M_d((x^r-1)^e) = (-1)^{d(d-1)/2 + (r-1)g/2} p1 and
-    det M_d((x^r-x)^e) = sign_j (-1)^{r g/2} px, so with
-    rho = Delta(x^r-x) / Delta(x^r-1) the T1 identity reads
-    px / p1 = sign_j (-1)^{d(d-1)/2} (-rho)^{g/2}; the product of signs is 1
-    for C1 and C2, (-1)^{d(d-1)/2} for C3 and bracket(-p, r-1) (-1)^{d(d-1)/2}
-    for C4.  ``_bare_products`` yields both sides with fact[e]^d cancelled;
-    C2 and C3 carry (-rho)^{g/2} along their walk, and C1 and C4 take one pow
-    per member.  p1 and eps0 are taken for survivors only.  Every C1-C4
-    member at r = 2 lies in B (C1 in B0, C2 in B+, no C3 or C4), so r = 2 is
-    skipped, and each r >= 3 has a C1 member outside B, so rho and
-    Delta(x^r-1)^{-1} are taken once per r >= 3.  B can hold a member only at
-    d in {r-2, r-1, r}; the walk never visits C4 with d in {r-1, r}, which
-    lies wholly in B.  half_g is taken for every member, so a g that is not a
-    positive even integer raises BadExponent.
+    Ratio form: the closed forms are
+    det M_d((x^r-1)^e) = (-1)^{d(d-1)/2 + (r-1)g/2} prod_i C(e, is) and
+    det M_d((x^r-x)^e) = sign_j (-1)^{r g/2} prod_i C(e, k_i) (s = (p-1)/r),
+    so with rho = Delta(x^r-x) / Delta(x^r-1) the T1 identity reads
+    prod_i C(e, k_i) / C(e, is) = sign (-rho)^{g/2}, sign as in ``_classes``.
+    The common fact[e]^d cancels (e < p), so the left side is a product of
+    inv_fact[k_i] inv_fact[e-k_i] fact[is] fact[e-is], read from the tables
+    with no range check: the ranges of ``_params`` give 0 <= k_i <= e < p.
+
+    One walk serves every class: r -> class -> l -> d.  Along d it carries
+    prod_i inv_fact[k_i] fact[is], and the e half as well where e does not
+    move with d (C3 retakes that half in d steps per member).  The right side
+    is carried too: g/2 = d l - m d(d+1)/2 + h steps by l - m(d+1) along d
+    and by d0 along l, so it takes four pows per class and r and none per
+    member.  A class's a_i, sign and powers are set up at its first member
+    outside B, and a member's products are built only once it has passed
+    the membership checks, so a class whose members all lie in B (C4 at
+    r = 3..6 for p = 61) costs no more than its checks.
+
+    B can hold a member only at d in {r-2, r-1, r}, so ``_in_B`` is asked
+    only there, and C4 keeps the members at d = r-2 that lie in U and in
+    none of C1-C3.  Every C1-C4 member at r = 2 lies in B (C1 in B0, C2 in
+    B+, no C3 or C4), so r = 2 is skipped, and each r >= 3 has a C1 member
+    outside B, so rho and Delta(x^r-1)^{-1} are taken once per r >= 3.
+    half_g is taken for every member, so a g that is not a positive even
+    integer raises BadExponent; the x^r-1 product and eps0 are taken for the
+    survivors only.
     """
     p, fact, inv_fact = ctx.p, ctx.fact, ctx.inv_fact
     counts = [0, 0, 0, 0]
@@ -388,15 +340,53 @@ def t1_survivors(ctx: PrimeCtx):
         s = (p - 1) // r
         inv_d1 = ctx.inv(special_discriminant(XR_MINUS_1, r, ctx))
         neg_rho = -special_discriminant(XR_MINUS_X, r, ctx) * inv_d1 % p
-        for j, e, d, gh, lhs, rhs in _bare_products(ctx, r, neg_rho):
-            counts[j - 1] += 1
-            if lhs == rhs:
-                xr1 = 1
-                for i in range(1, d + 1):
-                    xr1 = xr1 * fact[e] % p * inv_fact[i * s] % p * inv_fact[e - i * s] % p
-                if (d * (d - 1) // 2 + (r - 1) * gh) % 2:
-                    xr1 = -xr1
-                survivors.append((r, e, d, xr1 * pow(inv_d1, gh, p) % p))
+        taken = set()  # e of the C1-C3 members at d = r-2
+        for j, setup, c, moves, ls, d0, dmax, m, h, alt in _classes(p, r):
+            # At each l, w0 = sign (-rho)^{g/2} at d = d0 and v0 is its step to
+            # d0+1; w and v carry them along d.  Until the class's first member
+            # outside B sets them up, they and offs (the a_i) are placeholders.
+            offs, w0, v0, lstep, down, n = None, 1, 1, 1, 1, 0
+            for l in ls:
+                el = (r - 1) * l + c
+                i, x, w, v = 0, 1, w0, v0  # x carries i factors
+                for d in range(d0, min(dmax, l // m) + 1 if m else dmax + 1):
+                    e = el - moves * d
+                    if d < r - 2 or _in_B(p, r, e, d) is None and (
+                            j < 4 or e not in taken and _in_U(p, r, e, d)):
+                        if d == r - 2 and j < 4:
+                            taken.add(e)
+                        if offs is None:
+                            offs, sign = setup()
+                            g0 = d0 * l - m * d0 * (d0 + 1) // 2 + h
+                            w0 = sign * (-1) ** (alt * d0 * (d0 - 1) // 2) * pow(neg_rho, g0, p) % p
+                            v0 = (-1) ** (alt * d0) * pow(neg_rho, l - m * (d0 + 1), p) % p
+                            lstep = pow(neg_rho, d0, p)
+                            down = (-1) ** alt * pow(neg_rho, -m, p) % p
+                            w, v = w0, v0
+                            for _ in range(d0, d):
+                                w, v = w * v % p, v * down % p
+                        while i < d:
+                            i += 1
+                            k = offs[i] - l
+                            x = x * inv_fact[k] % p * fact[i * s] % p
+                            if not moves:
+                                x = x * inv_fact[e - k] % p * fact[e - i * s] % p
+                        q = x
+                        if moves:
+                            for i2 in range(1, d + 1):
+                                q = q * inv_fact[e - offs[i2] + l] % p * fact[e - i2 * s] % p
+                        n += 1
+                        gh = half_g(p, r, e, d)
+                        if q == w:
+                            xr1 = 1
+                            for i2 in range(1, d + 1):
+                                xr1 = xr1 * fact[e] % p * inv_fact[i2 * s] % p * inv_fact[e - i2 * s] % p
+                            if (d * (d - 1) // 2 + (r - 1) * gh) % 2:
+                                xr1 = -xr1
+                            survivors.append((r, e, d, xr1 * pow(inv_d1, gh, p) % p))
+                    w, v = w * v % p, v * down % p
+                w0, v0 = w0 * lstep % p, v0 * neg_rho % p
+            counts[j - 1] += n
     survivors.sort()
     return tuple(counts), survivors
 

@@ -1,6 +1,8 @@
 import ast
 import importlib
 import importlib.util
+import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,3 +60,33 @@ def test_library_has_no_unused_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used and (f"discdet.{path.stem}", name) not in hooked]
     assert unused == []
+
+
+def test_every_library_definition_is_referenced():
+    # A top-level def or class under src/discdet that nothing else names is
+    # dead code.  A reference is a name, attribute or import in code under
+    # src/, tests/ or perfbench/, or a dotted-name string such as the hook
+    # paths of perfbench/tracer.py; a definition naming itself does not count.
+    refs = Counter()
+    defs = []
+    for path in sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py"),
+                        *(ROOT / "perfbench").glob("*.py")]):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name.split(".")[-1])
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                        and re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+                    names.update(node.value.split("."))
+            refs.update(names)
+            if path.parent == SRC and isinstance(
+                    stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.append((path, stmt, names))
+    unreferenced = [f"{path.name}:{stmt.lineno} {stmt.name}" for path, stmt, own in defs
+                    if refs[stmt.name] == (stmt.name in own)]
+    assert unreferenced == []

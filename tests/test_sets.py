@@ -19,6 +19,7 @@ from discdet.sets import (
     Triple,
     _divisors,
     _in_B,
+    _in_U,
     _params,
     degree_balance,
     det_xr1,
@@ -177,25 +178,33 @@ def test_ranges_the_kernel_skips_lie_in_B():
 
 
 def test_c2_c3_half_g_closed_forms():
-    # the carry of (-rho)^{g/2} along d in t1_survivors relies on
-    # g/2 = l d - m d(d+1)/2, with m = s/(r-1) for C2 and m = (s+2)/(r-1)
-    # for C3 (s = (p-1)/r)
-    checked = [0, 0]
+    # the carry of (-rho)^{g/2} in t1_survivors relies on
+    # g/2 = l d - m d(d+1)/2 + h: m = s/(r-1) for C2 and m = (s+2)/(r-1)
+    # for C3 (s = (p-1)/r) with h = 0, g/2 = l for C1 (d = 1) and
+    # 2 g/2 = (r-2)(s+2l) for C4 (d = r-2)
+    checked = [0, 0, 0, 0]
     for p in range(3, 2000):
         if not is_prime(p):
             continue
         for r in _divisors(p - 1):
             s = (p - 1) // r
-            for j in (2, 3):
-                members = [(e, d, l) for e, d, l in _params(j, p, r) if _in_B(p, r, e, d) is None]
+            for j in (1, 2, 3, 4):
+                members = [(e, d, l) for e, d, l in _params(j, p, r)
+                           if _in_B(p, r, e, d) is None and (j < 4 or _in_U(p, r, e, d))]
                 if not members:
                     continue
                 if j == 3:
                     assert (s + 2) % (r - 1) == 0, (p, r)
                 m = (s if j == 2 else s + 2) // (r - 1)
                 for e, d, l in members:
-                    assert half_g(p, r, e, d) == l * d - m * d * (d + 1) // 2, (p, j, r, e, d)
-                checked[j - 2] += len(members)
+                    if j == 1:
+                        want = 2 * l
+                    elif j == 4:
+                        want = (r - 2) * (s + 2 * l)
+                    else:
+                        want = 2 * l * d - m * d * (d + 1)
+                    assert 2 * half_g(p, r, e, d) == want, (p, j, r, e, d)
+                checked[j - 1] += len(members)
     assert min(checked) > 10000
 
 

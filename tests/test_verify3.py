@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import random
 from collections import Counter
 from pathlib import Path
@@ -230,7 +231,9 @@ def test_t1_decisions_match_direct_dets_at_scale(p):
 def test_t1_takes_discriminants_only_at_r_with_candidates(monkeypatch):
     # p = 199523 is a safe prime: every member at r = 2 lies in B, so r = 2
     # costs no discriminant, and each other r takes Delta(x^r-1) and
-    # Delta(x^r-x) once
+    # Delta(x^r-x) once.  C4 is set up (its offsets and its sign, a bracket)
+    # only at a member outside B: 199523 has none, nor have 61 and 113, whose
+    # C4 is walked at r = 3..6 and r = 4, 7, 8.
     import discdet.sets as sets_mod
 
     calls = []
@@ -239,14 +242,20 @@ def test_t1_takes_discriminants_only_at_r_with_candidates(monkeypatch):
         calls.append((kind, r))
         return special_discriminant(kind, r, ctx)
 
-    monkeypatch.setattr(sets_mod, "special_discriminant", counted)
+    def forbidden(*args):
+        raise AssertionError("C4 set up without a member outside B")
+
     ctx = prime_ctx(199523)
-    t1_survivors(ctx)
-    with_members = {
-        t.r for j in (1, 2, 3, 4) for t, _ in enumerate_C(j, ctx) if in_B(t) is None
-    }
+    members = [(j, t.r) for j in (1, 2, 3, 4) for t, _ in enumerate_C(j, ctx) if in_B(t) is None]
+    with_members = {r for _, r in members}
     assert with_members and 2 not in with_members
+    assert all(j < 4 for j, _ in members)
+    monkeypatch.setattr(sets_mod, "special_discriminant", counted)
+    monkeypatch.setattr(sets_mod, "bracket", forbidden)
+    t1_survivors(ctx)
     assert Counter(calls) == {(kind, r): 1 for kind in (XR_MINUS_1, XR_MINUS_X) for r in with_members}
+    for q in (61, 113):
+        assert t1_survivors(prime_ctx(q))[0][3] == 0
 
 
 def test_t1_takes_no_per_member_closed_form(monkeypatch):
@@ -267,8 +276,8 @@ def test_t1_takes_no_per_member_closed_form(monkeypatch):
 
 
 def test_t1_takes_no_pow_per_c2_or_c3_member(monkeypatch):
-    # C2 and C3 carry (-rho)^{g/2} along their walk: pow is taken once per
-    # C1 or C4 member and per survivor, plus a few times per r
+    # every class carries (-rho)^{g/2} along its walk: pow is taken once per
+    # survivor, plus at most four times per class and r
     import discdet.sets as sets_mod
 
     calls = 0
@@ -287,6 +296,24 @@ def test_t1_takes_no_pow_per_c2_or_c3_member(monkeypatch):
     assert counts[1] > 5000 and counts[2] > 15000
     tau = sum(1 for i in range(1, p) if (p - 1) % i == 0)
     assert calls <= counts[0] + counts[3] + len(survivors) + 4 * tau
+    assert calls <= len(survivors) + 16 * tau
+
+
+def test_t1_survivors_pinned_at_scale():
+    # 55441 (p-1 = 2^4 3^2 5 7 11) and 84389 (p+1 = 2 3 5 29 97) are past the
+    # reach of the reference in tier-1 time: per-class counts literally,
+    # survivors by the sha256 of their repr, both recorded from an earlier,
+    # separately written version of the kernel
+    pinned = {
+        55441: ((148967, 342557, 24802, 2196),
+                "4ab372a781e750bdb4191047921fcf7a508fc31f91d166aecddb4a7777bf0128"),
+        84389: ((32444, 0, 97580, 840),
+                "a4e5a868f397f90eb9626cdf7d83d42eb4f27b57c59e2465e337cf607206504b"),
+    }
+    for p, (counts, digest) in pinned.items():
+        got_counts, survivors = t1_survivors(prime_ctx(p))
+        assert got_counts == counts, p
+        assert hashlib.sha256(repr(survivors).encode()).hexdigest() == digest, p
 
 
 def test_verify_prime_builds_one_polynomial_per_test(monkeypatch):
