@@ -231,9 +231,24 @@ def _params(j: int, p: int, r: int):
 
 
 def _divisors(n: int):
-    """Divisors of n that are at least 2, ascending."""
-    small = [i for i in range(2, isqrt(n) + 1) if n % i == 0]
-    return sorted({*small, *(n // i for i in small), n} - {1})
+    """Divisors of n that are at least 2, ascending.
+
+    They are built from the prime powers of n: the 2s are stripped, then the
+    next odd q that divides the cofactor m is searched for while q^2 <= m,
+    and what is left of m is 1 or a prime.
+    """
+    k = (n & -n).bit_length() - 1
+    divs = [1 << i for i in range(k + 1)]
+    m, q = n >> k, 3
+    while q := next((t for t in range(q, isqrt(m) + 1, 2) if m % t == 0), 0):
+        power = divs
+        while m % q == 0:
+            m //= q
+            power = [d * q for d in power]
+            divs = divs + power
+    if m > 1:
+        divs += [d * m for d in divs]
+    return sorted(divs)[1:]
 
 
 def enumerate_C(j: int, ctx: PrimeCtx):

@@ -2,6 +2,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from discdet import poly
 from discdet.ff import prime_ctx
 from discdet.fpmat import det, m_matrix
 from discdet.poly import (
@@ -9,6 +10,8 @@ from discdet.poly import (
     XR_MINUS_X,
     XR_MINUS_X_MINUS_1,
     FpPoly,
+    _frobenius_window,
+    _sparse_window,
     coeff_window,
     discriminant,
     divmod_poly,
@@ -135,6 +138,73 @@ def test_coeff_window_strategies_agree(case):
     p = f.ctx.p
     window = [fe.coeff(i * p + j - d - 1) for i in range(1, d + 1) for j in range(1, d + 1)]
     assert m_matrix(f, e, d).data == window
+
+
+def test_frobenius_window_matches_sum_and_dense():
+    # [x^n] f^(p-1) read from 1/g equals the multinomial sum (up to 3 terms)
+    # or the dense power (4 or more), on the stage polynomials, random
+    # coefficients, f(0) = 0 and deg g = 1, every M_d window and unsorted
+    # index sets with runs across multiples of p
+    rng = random.Random(3)
+    checked = 0
+    for p in (3, 5, 7, 13, 31, 101, 211):
+        ctx = prime_ctx(p)
+        fs = []
+        for r in {2, 3, 5, min(12, p - 1)}:
+            fs += [monomial_sum(ctx, [(r, 1), (k, 1), (0, 1)]) for k in range(1, r)]
+            fs += [monomial_sum(ctx, [(r, 1), (k, 1), (1, 1)]) for k in range(2, r)]
+            fs += [monomial_sum(ctx, [(r, 1), (1, 1), (0, b)]) for b in (2, 3)]
+        for _ in range(12):
+            v = rng.randrange(3)
+            exps = [v] + sorted(rng.sample(range(v + 1, v + 14), rng.choice([1, 2])))
+            fs.append(monomial_sum(ctx, [(x, rng.randrange(1, p)) for x in exps]))
+        fs.append(monomial_sum(ctx, [(2, rng.randrange(1, p)), (3, rng.randrange(1, p))]))
+        for deg in (3, 6):
+            fs.append(FpPoly(ctx, [0] + [rng.randrange(p) for _ in range(deg - 1)] + [1]))
+        for f in fs:
+            if len(f.monomials()) < 2:
+                continue
+            deg = f.degree
+            windows = [[i * p + j - d - 1 for i in range(1, d + 1) for j in range(1, d + 1)]
+                       for d in range(1, min(p, deg + 1) + 1)]
+            k = rng.randrange(1, deg + 1)
+            odd = list(range(max(0, k * p - 4), k * p + 4)) + rng.sample(range(deg * (p - 1) + 3), 6)
+            rng.shuffle(odd)
+            windows.append(odd)
+            if len(f.monomials()) <= 3:
+                want = [_sparse_window(f, p - 1, w) for w in windows]
+            else:
+                fe = poly_pow(f, p - 1)
+                want = [[fe.coeff(n) for n in w] for w in windows]
+            assert [_frobenius_window(f, w) for w in windows] == want, f
+            checked += 1
+    assert checked > 300
+
+
+def test_coeff_window_routes_on_cost(monkeypatch):
+    # 30241 = 2^5 3^3 5 7 + 1: M_8((x^15+x+1)^30240) reads 1/g, and the sum
+    # must not run; at r = 448 and d = 1 the sum is cheaper than the
+    # log p products of degree 448 that reading 1/g would take
+    def refuse(*args):
+        raise AssertionError("this path should not be taken")
+
+    ctx = prime_ctx(30241)
+    monkeypatch.setattr(poly, "_sparse_window", refuse)
+    got = m_matrix(monomial_sum(ctx, [(15, 1), (1, 1), (0, 1)]), 30240, 8).data
+    assert got == [
+        14123, 25084, 23639, 26308, 6589, 29403, 23365, 4481,
+        5066, 9577, 21814, 4400, 5057, 11491, 13358, 989,
+        14678, 15787, 25529, 21138, 7133, 15043, 8494, 25663,
+        9686, 25509, 8648, 27588, 17540, 13360, 29513, 9170,
+        5952, 9138, 10472, 12838, 27201, 16075, 21930, 28253,
+        21555, 16781, 4461, 14065, 10594, 24200, 26880, 10298,
+        17161, 19384, 11580, 20286, 14780, 29710, 3480, 13854,
+        28180, 10636, 15691, 19734, 13236, 27435, 23493, 18146,
+    ]
+    monkeypatch.undo()
+    monkeypatch.setattr(poly, "_frobenius_window", refuse)
+    ctx = prime_ctx(20161)
+    assert m_matrix(monomial_sum(ctx, [(448, 1), (1, 1), (0, 1)]), 20160, 1).data == [8191]
 
 
 def test_resultant_equals_sylvester_det():

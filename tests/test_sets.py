@@ -298,3 +298,8 @@ def test_kappa_predicts_every_small_s_c1_survivor():
     }
     assert len(want) == 47
     assert got == want
+
+
+def test_divisors_match_brute_force():
+    for n in range(1, 5000):
+        assert _divisors(n) == [q for q in range(2, n + 1) if n % q == 0], n

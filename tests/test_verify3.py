@@ -338,7 +338,7 @@ def test_verify_prime_builds_one_polynomial_per_test(monkeypatch):
     assert len(built) == len(tested) > 0
 
 
-@pytest.mark.parametrize("p", [7561, 15121])
+@pytest.mark.parametrize("p", [7561, 15121, 20161, 30241, 55441])
 def test_stage_records_match_direct_records(p):
     # the stages reached past T1, as recorded for the benchmark's direct_stages
     path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "direct_records.csv"
