@@ -8,6 +8,9 @@ numerically; neither is proved.
 """
 
 from dataclasses import dataclass
+from itertools import product
+from math import prod
+from operator import mul
 
 from .ff import PrimeCtx, binom
 from .fpmat import FpMatrix, det, m_matrix
@@ -246,48 +249,30 @@ class CoeffQuery:
             raise ValueError("need 0 <= e <= p-1")
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def glynn_coeff(q: CoeffQuery) -> int:
-    """Coefficient of prod_j X_j^e in prod_i (sum_j a_ij X_j)^e."""
+    """Coefficient of prod_j X_j^e in prod_i (sum_j a_ij X_j)^e.
+
+    P = prod_i (sum_j a_ij X_j)^e has total degree r*e, so the coefficient
+    formula of the Combinatorial Nullstellensatz (Alon 1999; Lason 2010)
+    gives it as a sum over the grid {0..e}^r:
+        sum_c P(c) * prod_j w[c_j],  w[c] = (-1)^(e-c) / (c! (e-c)!),
+    where 1/w[c] = prod_{s != c} (c - s).  The points 0..e are distinct
+    mod p because e <= p-1.
+    """
     A, e = q.A, q.e
     ctx = A.ctx
     p = ctx.p
     r = A.rows
     if (e + 1) ** r > GLYNN_SCALE_LIMIT:
         raise ScaleRefusal(f"(e+1)^r = {(e + 1) ** r} exceeds {GLYNN_SCALE_LIMIT}")
-    if e == 0:
-        return 1
-    acc = {(0,) * r: 1}
-    for i in range(r):
-        arow = A.row(i)
-        row_pow = {}
-        for ks in _compositions(e, r):
-            c = ctx.fact[e]
-            for j, kj in enumerate(ks):
-                c = c * ctx.inv_fact[kj] % p * pow(arow[j], kj, p) % p
-            if c:
-                row_pow[ks] = c
-        nxt = {}
-        for m1, c1 in acc.items():
-            for m2, c2 in row_pow.items():
-                mono = tuple(x + y for x, y in zip(m1, m2))
-                if any(x > e for x in mono):
-                    continue
-                v = (nxt.get(mono, 0) + c1 * c2) % p
-                if v:
-                    nxt[mono] = v
-                else:
-                    nxt.pop(mono, None)
-        acc = nxt
-    return acc.get((e,) * r, 0)
+    inv_fact = ctx.inv_fact
+    w = [(-1) ** (e - c) * inv_fact[c] * inv_fact[e - c] % p for c in range(e + 1)]
+    rows = A.to_rows()
+    total = 0
+    for c in product(range(e + 1), repeat=r):
+        value = prod(pow(sum(map(mul, row, c)), e, p) for row in rows)
+        total += value * prod(w[cj] for cj in c) % p
+    return total % p
 
 
 def check_glynn_theorem(A: FpMatrix) -> dict:

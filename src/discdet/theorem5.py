@@ -128,27 +128,19 @@ def beta(spec: StructuredSpec, l: int, lam: Fraction) -> int:
     return beta_coeffs(spec.ctx, s, rational_mod_p(spec.ctx, Fraction(lam)), l)[l]
 
 
-def _beta_table(ctx, s, lams, max_l):
-    return {lam: beta_coeffs(ctx, s, rational_mod_p(ctx, lam), max_l) for lam in set(lams)}
-
-
 def p_matrix(ctx: PrimeCtx, s, lams) -> FpMatrix:
     """P(lam_1..lam_m): entry (i, j) = beta_{i-j}(lam_i)."""
     m = len(lams)
-    tab = _beta_table(ctx, s, lams, m - 1)
-    rows = [
-        [tab[lams[i]][i - j] if i >= j else 0 for j in range(m)] for i in range(m)
-    ]
+    tab = [beta_coeffs(ctx, s, rational_mod_p(ctx, lam), m - 1) for lam in lams]
+    rows = [[tab[i][i - j] if i >= j else 0 for j in range(m)] for i in range(m)]
     return FpMatrix.from_rows(ctx, rows)
 
 
 def q_matrix(ctx: PrimeCtx, s, mus) -> FpMatrix:
     """Q(mu_1..mu_m): entry (i, j) = beta_{i-j}(mu_j)."""
     m = len(mus)
-    tab = _beta_table(ctx, s, mus, m - 1)
-    rows = [
-        [tab[mus[j]][i - j] if i >= j else 0 for j in range(m)] for i in range(m)
-    ]
+    tab = [beta_coeffs(ctx, s, rational_mod_p(ctx, mu), m - 1) for mu in mus]
+    rows = [[tab[j][i - j] if i >= j else 0 for j in range(m)] for i in range(m)]
     return FpMatrix.from_rows(ctx, rows)
 
 

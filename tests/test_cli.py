@@ -1,3 +1,5 @@
+import hashlib
+
 from discdet.cli import CSV_HEADER, main
 
 
@@ -92,6 +94,17 @@ def test_exp2_small(capsys):
     assert code == 0
     assert "FAIL" not in stdout
     assert "exp2 p=5 r=2:" in stdout.splitlines()[-1]
+    # sha256 of stdout, pinned from the earlier row-by-row expansion of G^e
+    pinned = {
+        ("--p", "11", "--r", "3", "--trials", "20"):
+            "1908e5f0e448292967156ea66626992349b45fcdefee44996d79baaff747c513",
+        ("--p", "13", "--r", "4", "--trials", "1"):
+            "ac437ed1629c74abdec45fb7d82f3722593824b65505aa5937db217d41713f14",
+    }
+    for args, digest in pinned.items():
+        code, stdout, _ = run(capsys, "exp2", *args, "--seed", "0")
+        assert code == 0
+        assert hashlib.sha256(stdout.encode()).hexdigest() == digest, args
 
 
 def test_ppm_enumerate_and_oracle_agree(capsys):

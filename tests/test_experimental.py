@@ -169,6 +169,36 @@ def test_glynn_coeff_examples():
     assert glynn_coeff(CoeffQuery(A, 1)) == (2 * 5 + 3 * 4) % 7
 
 
+def test_glynn_coeff_matches_multipoly_expansion():
+    # oracle: expand prod_i (sum_j a_ij X_j)^e and read [prod_j X_j^e]
+    rng = random.Random(16)
+    cases = nonzero = 0
+    for p, r_max in ((2, 4), (3, 4), (5, 4), (7, 4), (11, 3)):
+        ctx = prime_ctx(p)
+        for r in range(1, r_max + 1):
+            xs = [MultiPoly.variable(ctx, r, j) for j in range(r)]
+            for shape in ("random", "random", "zero row", "repeated row"):
+                rows = [[rng.randrange(p) for _ in range(r)] for _ in range(r)]
+                if shape == "zero row":
+                    rows[-1] = [0] * r
+                elif shape == "repeated row" and r >= 2:
+                    rows[-1] = rows[0]
+                A = FpMatrix.from_rows(ctx, rows)
+                forms = [
+                    sum((x.scale(a) for x, a in zip(xs, row)), MultiPoly(ctx, r))
+                    for row in rows
+                ]
+                for e in range(p):
+                    expanded = MultiPoly.constant(ctx, r, 1)
+                    for form in forms:
+                        expanded = expanded * form**e
+                    want = expanded.terms.get((e,) * r, 0)
+                    assert glynn_coeff(CoeffQuery(A, e)) == want, (p, e, A.data)
+                    cases += 1
+                    nonzero += want != 0
+    assert cases == 404 and nonzero > 200
+
+
 def test_glynn_scale_refusal():
     ctx = prime_ctx(199523)
     A = FpMatrix(ctx, 3, 3, list(range(9)))
