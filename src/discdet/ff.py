@@ -4,6 +4,7 @@ Residues are canonical ints in [0, p-1].  Rationals are stdlib
 ``fractions.Fraction`` (arbitrary precision, always reduced).
 """
 
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -42,6 +43,10 @@ def is_prime(n: int) -> bool:
 class PrimeCtx:
     """A prime p with factorial and inverse-factorial tables mod p.
 
+    ``fact`` is an ``array('l')``, 8 bytes an entry.  ``inv_fact`` stays a
+    list: the multinomial sums of ``poly._sparse_window`` read its entries
+    many times a call, and a list hands them out without boxing each read.
+
     Immutable after construction; safe to share between workers.
     """
 
@@ -51,13 +56,13 @@ class PrimeCtx:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-        fact = [1] * p
+        fact = array("l", [1]) * p
         for i in range(1, p):
             fact[i] = fact[i - 1] * i % p
-        inv_fact = [1] * p
-        inv_fact[p - 1] = pow(fact[p - 1], p - 2, p)
-        for i in range(p - 1, 0, -1):
-            inv_fact[i - 1] = inv_fact[i] * i % p
+        # Wilson's theorem gives x! (p-1-x)! = (-1)^(x+1) mod p, so 1/x! is
+        # (p-1-x)! for odd x and p - (p-1-x)! for even x.
+        inv_fact = [p - v for v in reversed(fact)]
+        inv_fact[1::2] = fact[p - 2::-2]
         self.fact = fact
         self.inv_fact = inv_fact
 
@@ -65,7 +70,7 @@ class PrimeCtx:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError(f"0 is not invertible mod {self.p}")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def __repr__(self):
         return f"PrimeCtx({self.p})"

@@ -80,6 +80,11 @@ class FpMatrix:
     def scale(self, c: int) -> "FpMatrix":
         return FpMatrix(self.ctx, self.rows, self.cols, [c * a for a in self.data])
 
+    def scale_rows(self, cs) -> "FpMatrix":
+        """diag(cs) @ self: row i times cs[i]."""
+        m = self.cols
+        return FpMatrix(self.ctx, self.rows, m, [cs[k // m] * a for k, a in enumerate(self.data)])
+
     def hstack(self, other: "FpMatrix") -> "FpMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch")

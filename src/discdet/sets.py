@@ -11,8 +11,10 @@ invariant that controls which d = 1 candidates survive the x^r - x test.
 ``t1_survivors`` compares the ratio of the two closed forms' binomial
 products, with their common fact[e]^d cancelled, against a sign times
 (-rho)^{g/2}.  Every class has the same shape (``_classes`` gives it as
-data), so one walk r -> l -> d serves C1-C4 and carries both sides along
-d with no pow per member:
+data), so one walk r -> class -> d serves C1-C4.  For fixed (r, class, d)
+every factorial index the ratio reads is linear in l and (-rho)^{g/2} is
+geometric in l, so the walk takes a column, every l of the (r, class, d),
+at once, as strided slices of the factorial tables:
 
     class  a_i (k_i = a_i - l)     e               d                  m        h         sign
     C1     s                       s + (r-1)l      1                  0        0         1
@@ -23,9 +25,9 @@ d with no pow per member:
 with s = (p-1)/r and g/2 = d l - m d(d+1)/2 + h.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, prod
+from typing import NamedTuple
 
 from .ff import PrimeCtx, binom, bracket, is_prime, prime_ctx
 from .poly import XR_MINUS_1, XR_MINUS_X, special_discriminant
@@ -47,8 +49,7 @@ class BadExponent(ArithmeticError):
     """g is not a positive even integer where a closed form needs g/2."""
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     ctx: PrimeCtx
     r: int
     e: int
@@ -230,17 +231,25 @@ def _params(j: int, p: int, r: int):
             yield (r - 1) * (s + l), r - 2, l
 
 
+# The odd primes below 2^10, multiplied: an odd m < 2^20 coprime to it is 1 or
+# a prime.
+_ODD_PRIMORIAL = prod(q for q in range(3, 1 << 10, 2) if all(q % t for t in range(3, isqrt(q) + 1, 2)))
+
+
 def _divisors(n: int):
     """Divisors of n that are at least 2, ascending.
 
     They are built from the prime powers of n: the 2s are stripped, then the
     next odd q that divides the cofactor m is searched for while q^2 <= m,
-    and what is left of m is 1 or a prime.
+    and what is left of m is 1 or a prime.  The search is skipped once m is
+    below 2^20 and has no prime factor below 2^10 (one gcd), which is where a
+    safe prime's (p-1)/2 starts.
     """
     k = (n & -n).bit_length() - 1
     divs = [1 << i for i in range(k + 1)]
     m, q = n >> k, 3
-    while q := next((t for t in range(q, isqrt(m) + 1, 2) if m % t == 0), 0):
+    while (m >= 1 << 20 or gcd(m, _ODD_PRIMORIAL) > 1) and (
+            q := next((t for t in range(q, isqrt(m) + 1, 2) if m % t == 0), 0)):
         power = divs
         while m % q == 0:
             m //= q
@@ -279,7 +288,7 @@ def enumerate_C(j: int, ctx: PrimeCtx):
 
 
 def _classes(p: int, r: int):
-    """C1-C4 at r | p-1 (r >= 3) as data for the walk of ``t1_survivors``.
+    """C1-C4 at r | p-1 (r >= 3) as data for the column walk of ``t1_survivors``.
 
     Yields (j, setup, c, moves, ls, d0, dmax, m, h, alt) for each class that
     can have members outside B at r, as in the module docstring's table: the
@@ -287,7 +296,7 @@ def _classes(p: int, r: int):
     where m = 0), with e = (r-1)l + c - moves d and g/2 = d l - m d(d+1)/2 + h.
     setup() gives the a_i, indexed from i = 0, and the constant factor of
     the sign, which is that factor times (-1)^{alt d(d-1)/2}.  The walk calls
-    it at the class's first member outside B, so C4 builds its offsets and
+    it only for a class with a member outside B, so C4 builds its offsets and
     takes its ``bracket`` only then.
     """
     s = (p - 1) // r
@@ -312,8 +321,21 @@ def _classes(p: int, r: int):
                (r - 1) * s, 0, range(-t + (r == 3), t + 1), r - 2, r - 2, 0, (r - 2) * s // 2, 1)
 
 
+def _in_B_span(p: int, r: int, d: int, e_lo: int, n: int) -> range:
+    """The positions i < n at which e = e_lo + (r-1)i makes (r, e, d) a member
+    of B, for d >= r-2 >= 1, 2e > p-1 and e <= p-1 (all of C1-C4 at r >= 3).
+
+    e grows with i, so they are one interval: e = p-1 at d = r (B+),
+    e >= p-1-s at d = r-1 (B0) and e = p-1-s at d = r-2 (B-), s = (p-1)/r.
+    """
+    at, rem = divmod(p - 1 - (d < r) * (p - 1) // r - e_lo, r - 1)
+    if d == r - 1:
+        return range(max(at + (rem > 0), 0), n)
+    return range(at, at + 1) if rem == 0 and 0 <= at < n else range(0)
+
+
 def t1_survivors(ctx: PrimeCtx):
-    """Stage T1 over every member of C1-C4 outside B, in one walk.
+    """Stage T1 over every member of C1-C4 outside B, a column at a time.
 
     Returns (c_counts, survivors): the number of members of each class, and
     the ascending (r, e, d, eps0) of the members whose closed-form
@@ -329,23 +351,33 @@ def t1_survivors(ctx: PrimeCtx):
     inv_fact[k_i] inv_fact[e-k_i] fact[is] fact[e-is], read from the tables
     with no range check: the ranges of ``_params`` give 0 <= k_i <= e < p.
 
-    One walk serves every class: r -> class -> l -> d.  Along d it carries
-    prod_i inv_fact[k_i] fact[is], and the e half as well where e does not
-    move with d (C3 retakes that half in d steps per member).  The right side
-    is carried too: g/2 = d l - m d(d+1)/2 + h steps by l - m(d+1) along d
-    and by d0 along l, so it takes four pows per class and r and none per
-    member.  A class's a_i, sign and powers are set up at its first member
-    outside B, and a member's products are built only once it has passed
-    the membership checks, so a class whose members all lie in B (C4 at
-    r = 3..6 for p = 61) costs no more than its checks.
+    The walk goes r -> class -> d, and a column, the members of one
+    (r, class, d), is every l of its range at once: k_i = a_i - l,
+    e - k_i and e - is step by -1, r and r-1 along l, so each factor of the
+    column is one strided slice of ``ctx.inv_fact`` or ``ctx.fact``.  The
+    right side goes over to the left: g/2 steps by l - m d from d-1 to d, so
+    step d also multiplies by (-rho)^{-(l - m d)}, a slice of one table of
+    the powers of (-rho)^{-1} (its indices stay in 0..s), and what is left
+    of the right side is a constant of the column: the sign, prod_i 1/fact[is]
+    and, for C4, whose l start below 0 and shift those indices, one pow.
+    The list over l is carried along d and trimmed from the front as the
+    range l >= d m shrinks; where e moves with d (C3), each column still
+    multiplies its d e-dependent factor pairs, as slices.  A member survives
+    where its column's list holds the constant, so the list is only scanned.
 
-    B can hold a member only at d in {r-2, r-1, r}, so ``_in_B`` is asked
-    only there, and C4 keeps the members at d = r-2 that lie in U and in
-    none of C1-C3.  Every C1-C4 member at r = 2 lies in B (C1 in B0, C2 in
-    B+, no C3 or C4), so r = 2 is skipped, and each r >= 3 has a C1 member
-    outside B, so rho and Delta(x^r-1)^{-1} are taken once per r >= 3.
-    half_g is taken for every member, so a g that is not a positive even
-    integer raises BadExponent; the x^r-1 product and eps0 are taken for the
+    B holds a member only at d in {r-2, r-1, r}, and there a column's B
+    members are one interval of l, as e grows with l (``_in_B_span``); a
+    column wholly in B (C2 at d = r-1 and r) is stepped through but not
+    scanned.  C4, one column at d = r-2, keeps only its members in U and in
+    none of C1-C3 (whose e at d = r-2 are one range per column), and is set
+    up only if it keeps one, so C4 at r = 3..6 for p = 61 takes no
+    ``bracket``.  Every C1-C4 member at r = 2 lies in B (C1 in B0, C2 in B+,
+    no C3 or C4), so r = 2 is skipped, and each r >= 3 has a C1 member
+    outside B, so the two discriminants and one inverse are taken once per
+    r >= 3.  half_g and d l - m d(d+1)/2 + h are both affine in l, so
+    checking them equal at both ends of each column with a member outside B
+    checks every member of it, and a g that is not a positive even integer
+    raises BadExponent.  The x^r-1 product and eps0 are taken for the
     survivors only.
     """
     p, fact, inv_fact = ctx.p, ctx.fact, ctx.inv_fact
@@ -353,55 +385,93 @@ def t1_survivors(ctx: PrimeCtx):
     survivors = []
     for r in _divisors(p - 1)[1:]:  # skips r = 2, as p-1 is even
         s = (p - 1) // r
-        inv_d1 = ctx.inv(special_discriminant(XR_MINUS_1, r, ctx))
-        neg_rho = -special_discriminant(XR_MINUS_X, r, ctx) * inv_d1 % p
-        taken = set()  # e of the C1-C3 members at d = r-2
+        d1 = special_discriminant(XR_MINUS_1, r, ctx)
+        dx = special_discriminant(XR_MINUS_X, r, ctx)
+        w = pow(d1 * dx, -1, p)
+        inv_d1, neg_rho = dx * w % p, -dx * dx * w % p
+        # down[t] = (-rho)^{-t} for t = 0..s: four powers, then the list is
+        # doubled with q^4, q^8, ...
+        q = -d1 * d1 * w % p
+        q2 = q * q % p
+        down, qk = [1, q, q2, q2 * q % p][:s + 1], q2 * q2 % p
+        while len(down) <= s:
+            down += [x * qk % p for x in down[:s + 1 - len(down)]]
+            qk = qk * qk % p
+        taken = []  # e of the C1-C3 columns at d = r-2, a range each
         for j, setup, c, moves, ls, d0, dmax, m, h, alt in _classes(p, r):
-            # At each l, w0 = sign (-rho)^{g/2} at d = d0 and v0 is its step to
-            # d0+1; w and v carry them along d.  Until the class's first member
-            # outside B sets them up, they and offs (the a_i) are placeholders.
-            offs, w0, v0, lstep, down, n = None, 1, 1, 1, 1, 0
-            for l in ls:
-                el = (r - 1) * l + c
-                i, x, w, v = 0, 1, w0, v0  # x carries i factors
-                for d in range(d0, min(dmax, l // m) + 1 if m else dmax + 1):
-                    e = el - moves * d
-                    if d < r - 2 or _in_B(p, r, e, d) is None and (
-                            j < 4 or e not in taken and _in_U(p, r, e, d)):
-                        if d == r - 2 and j < 4:
-                            taken.add(e)
-                        if offs is None:
-                            offs, sign = setup()
-                            g0 = d0 * l - m * d0 * (d0 + 1) // 2 + h
-                            w0 = sign * (-1) ** (alt * d0 * (d0 - 1) // 2) * pow(neg_rho, g0, p) % p
-                            v0 = (-1) ** (alt * d0) * pow(neg_rho, l - m * (d0 + 1), p) % p
-                            lstep = pow(neg_rho, d0, p)
-                            down = (-1) ** alt * pow(neg_rho, -m, p) % p
-                            w, v = w0, v0
-                            for _ in range(d0, d):
-                                w, v = w * v % p, v * down % p
-                        while i < d:
-                            i += 1
-                            k = offs[i] - l
-                            x = x * inv_fact[k] % p * fact[i * s] % p
-                            if not moves:
-                                x = x * inv_fact[e - k] % p * fact[e - i * s] % p
-                        q = x
-                        if moves:
-                            for i2 in range(1, d + 1):
-                                q = q * inv_fact[e - offs[i2] + l] % p * fact[e - i2 * s] % p
-                        n += 1
-                        gh = half_g(p, r, e, d)
-                        if q == w:
-                            xr1 = 1
-                            for i2 in range(1, d + 1):
-                                xr1 = xr1 * fact[e] % p * inv_fact[i2 * s] % p * inv_fact[e - i2 * s] % p
-                            if (d * (d - 1) // 2 + (r - 1) * gh) % 2:
-                                xr1 = -xr1
-                            survivors.append((r, e, d, xr1 * pow(inv_d1, gh, p) % p))
-                    w, v = w * v % p, v * down % p
-                w0, v0 = w0 * lstep % p, v0 * neg_rho % p
-            counts[j - 1] += n
+            lo0, hi = ls[0], ls[-1]
+            if j == 4:
+                # C4 is one column, d = r-2; it keeps the members outside B
+                # that lie in U and in none of C1-C3, and is set up only if
+                # there are any.
+                e_lo = (r - 1) * lo0 + c
+                out = _in_B_span(p, r, dmax, e_lo, len(ls))
+                out4 = {i for i, e in enumerate(range(e_lo, e_lo + (r - 1) * len(ls), r - 1))
+                        if i in out or taken and any(e in t for t in taken) or not _in_U(p, r, e, dmax)}
+                if len(out4) == len(ls):
+                    continue
+            offs, sign = setup()
+            shift = lo0 if lo0 < 0 else 0
+            y, prev, inv_is = [1] * len(ls), lo0, 1
+            for d in range(1, dmax + 1):
+                lo = max(lo0, d * m) if m else lo0
+                if lo > hi:
+                    break
+                # Step d multiplies y, over l = lo..hi, by 1/k_d! and the
+                # (-rho)^{-1} power, and by the e half of pair d where e does
+                # not move with d.
+                n, a, trim, prev = hi - lo + 1, offs[d], lo - prev, lo
+                ks = inv_fact[a - lo:a - hi - 1 if a > hi else None:-1]
+                rs = down[lo - m * d - shift:hi - m * d - shift + 1]
+                if moves:
+                    y = [v * k * t % p for v, k, t in zip(y[trim:], ks, rs)]
+                else:
+                    y = [v * k * ek * ei * t % p for v, k, ek, ei, t in zip(
+                        y[trim:], ks, inv_fact[r * lo + c - a:r * hi + c - a + 1:r],
+                        fact[(r - 1) * lo + c - d * s:(r - 1) * hi + c - d * s + 1:r - 1], rs)]
+                inv_is = inv_is * inv_fact[d * s] % p
+                if d < d0:
+                    continue
+                e_lo = (r - 1) * lo + c - moves * d
+                if j == 4:
+                    out = out4
+                else:
+                    out = _in_B_span(p, r, d, e_lo, n) if d >= r - 2 else ()
+                    if d == r - 2:
+                        taken.append(range(e_lo, e_lo + (r - 1) * n, r - 1))
+                    if len(out) == n:
+                        continue
+                counts[j - 1] += n - len(out)
+                z = y
+                if moves:  # C3: the e half of all d pairs, at this column's e
+                    for i in range(1, d + 1):
+                        ek, ei = c - d - offs[i], c - d - i * s
+                        z = [v * x * u % p for v, x, u in zip(
+                            z, inv_fact[r * lo + ek:r * hi + ek + 1:r],
+                            fact[(r - 1) * lo + ei:(r - 1) * hi + ei + 1:r - 1])]
+                for l in (lo, hi) if n > 1 else (lo,):
+                    # half_g's test (divided through by r) against the closed form
+                    gh = d * l - m * d * (d + 1) // 2 + h
+                    if gh <= 0 or 2 * ((r - 1) * l + c - moves * d) * d - d * (d + 1) * s != 2 * (r - 1) * gh:
+                        raise BadExponent(f"g/2 of C{j} is not d l - m d(d+1)/2 + h at p={p}, r={r}, d={d}")
+                g_shift = d * shift + h
+                target = (-sign if alt and d * (d - 1) // 2 % 2 else sign) * inv_is % p
+                if g_shift:
+                    target = target * pow(neg_rho, g_shift, p) % p
+                at = -1
+                for _ in range(z.count(target)):
+                    at = z.index(target, at + 1)
+                    if at in out:
+                        continue
+                    l = lo + at
+                    e = e_lo + (r - 1) * at
+                    gh = d * l - m * d * (d + 1) // 2 + h
+                    xr1 = 1
+                    for i in range(1, d + 1):
+                        xr1 = xr1 * fact[e] % p * inv_fact[i * s] % p * inv_fact[e - i * s] % p
+                    if (d * (d - 1) // 2 + (r - 1) * gh) % 2:
+                        xr1 = -xr1
+                    survivors.append((r, e, d, xr1 * pow(inv_d1, gh, p) % p))
     survivors.sort()
     return tuple(counts), survivors
 

@@ -7,7 +7,6 @@ series coefficients beta_l(lambda) = [t^l] phi(t)^lambda, and Z is diagonal
 in zeta_i = n / (rn - (r - i)) with n = p - 1 - e.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -27,22 +26,13 @@ class SingularM(ArithmeticError):
     pass
 
 
-@dataclass(frozen=True)
 class StructuredSpec:
-    ctx: PrimeCtx
-    r: int
-    e: int
-    f: FpPoly
-
-    def __post_init__(self):
-        p = self.ctx.p
-        r, e = self.r, self.e
-        if in_B(Triple(self.ctx, r, e, r - 1)) != B_ZERO or in_B(
-            Triple(self.ctx, r, e + 1, r - 1)
-        ) != B_ZERO:
-            raise ValueError(f"(r={r}, e={e}) and e+1 must both be B0 at p={p}")
-        if self.f.degree != r or self.f.lead() != 1:
+    def __init__(self, ctx: PrimeCtx, r: int, e: int, f: FpPoly):
+        if in_B(Triple(ctx, r, e, r - 1)) != B_ZERO or in_B(Triple(ctx, r, e + 1, r - 1)) != B_ZERO:
+            raise ValueError(f"(r={r}, e={e}) and e+1 must both be B0 at p={ctx.p}")
+        if f.degree != r or f.lead() != 1:
             raise ValueError("f must be monic of degree r")
+        self.ctx, self.r, self.e, self.f = ctx, r, e, f
 
     @property
     def p(self) -> int:
@@ -128,24 +118,36 @@ def beta(spec: StructuredSpec, l: int, lam: Fraction) -> int:
     return beta_coeffs(spec.ctx, s, rational_mod_p(spec.ctx, Fraction(lam)), l)[l]
 
 
+def _beta_rows(ctx: PrimeCtx, s, lams, m: int):
+    """beta_0..beta_{m-1} of phi^lam for each lam, one row per lam."""
+    return [beta_coeffs(ctx, s, rational_mod_p(ctx, lam), m - 1) for lam in lams]
+
+
+def _p_of(ctx: PrimeCtx, tab) -> FpMatrix:
+    """Entry (i, j) = tab[i][i-j]: row i holds the beta row of lam_i."""
+    m = len(tab)
+    return FpMatrix.from_rows(ctx, [[tab[i][i - j] if i >= j else 0 for j in range(m)] for i in range(m)])
+
+
+def _q_of(ctx: PrimeCtx, tab) -> FpMatrix:
+    """Entry (i, j) = tab[j][i-j]: column j holds the beta row of mu_j."""
+    m = len(tab)
+    return FpMatrix.from_rows(ctx, [[tab[j][i - j] if i >= j else 0 for j in range(m)] for i in range(m)])
+
+
 def p_matrix(ctx: PrimeCtx, s, lams) -> FpMatrix:
     """P(lam_1..lam_m): entry (i, j) = beta_{i-j}(lam_i)."""
-    m = len(lams)
-    tab = [beta_coeffs(ctx, s, rational_mod_p(ctx, lam), m - 1) for lam in lams]
-    rows = [[tab[i][i - j] if i >= j else 0 for j in range(m)] for i in range(m)]
-    return FpMatrix.from_rows(ctx, rows)
+    return _p_of(ctx, _beta_rows(ctx, s, lams, len(lams)))
 
 
 def q_matrix(ctx: PrimeCtx, s, mus) -> FpMatrix:
     """Q(mu_1..mu_m): entry (i, j) = beta_{i-j}(mu_j)."""
-    m = len(mus)
-    tab = [beta_coeffs(ctx, s, rational_mod_p(ctx, mu), m - 1) for mu in mus]
-    rows = [[tab[j][i - j] if i >= j else 0 for j in range(m)] for i in range(m)]
-    return FpMatrix.from_rows(ctx, rows)
+    return _q_of(ctx, _beta_rows(ctx, s, mus, len(mus)))
 
 
 def u_matrix(ctx: PrimeCtx, s, lam, m: int) -> FpMatrix:
-    return p_matrix(ctx, s, [lam] * m)
+    """P(lam, .., lam), whose m rows share one beta row."""
+    return _p_of(ctx, _beta_rows(ctx, s, [lam], m) * m)
 
 
 def s_matrix(ctx: PrimeCtx, coeffs, m: int) -> FpMatrix:
@@ -185,15 +187,18 @@ def psi_series(ctx: PrimeCtx, s, m: int):
     return out
 
 
-def _zeta_diag(spec: StructuredSpec, m: int) -> FpMatrix:
-    """diag(zeta_1..zeta_m), zeta_i = n / (rn - (r - i))."""
+def _zeta(spec: StructuredSpec, m: int):
+    """zeta_1..zeta_m, zeta_i = n / (rn - (r - i))."""
     ctx, r, n = spec.ctx, spec.r, spec.n
-    zeta = [rational_mod_p(ctx, Fraction(n, r * n - (r - i))) for i in range(1, m + 1)]
-    return FpMatrix(ctx, m, m, [zeta[i] if i == j else 0 for i in range(m) for j in range(m)])
+    return [rational_mod_p(ctx, Fraction(n, r * n - (r - i))) for i in range(1, m + 1)]
 
 
 def build_PQZB(spec: StructuredSpec):
-    """The four (r-1) x (r-1) factors B_r, Q_r, Z_{r,n}, P_r."""
+    """The four (r-1) x (r-1) factors B_r, Q_r, Z_{r,n}, P_r.
+
+    Q takes lambda = -j/r (j = 1..d) by columns and P takes -(r-i)/r
+    (i = 1..d) by rows: the same d values, so each beta row is computed once.
+    """
     ctx, r, d = spec.ctx, spec.r, spec.d
     p = ctx.p
     s = [spec.s(i) for i in range(r + 1)]
@@ -202,16 +207,18 @@ def build_PQZB(spec: StructuredSpec):
     inv_r = pow(r % p, p - 2, p)
     g = spec.f - FpPoly(ctx, [0] + [c * inv_r % p for c in fp.coeffs])
     B = FpMatrix.from_rows(ctx, bezout_matrix(fp, g).to_rows()[::-1])
-    Q = q_matrix(ctx, s, [Fraction(-j, r) for j in range(1, d + 1)])
-    P = p_matrix(ctx, s, [Fraction(-(r - i), r) for i in range(1, d + 1)])
-    return B, Q, _zeta_diag(spec, d), P
+    tab = _beta_rows(ctx, s, [Fraction(-j, r) for j in range(1, d + 1)], d)
+    return B, _q_of(ctx, tab), FpMatrix.identity(ctx, d).scale_rows(_zeta(spec, d)), _p_of(ctx, tab[::-1])
 
 
 def check_theorem5(spec: StructuredSpec) -> dict:
-    """Compare M_d(f^e)^{-1} M_d(f^{e+1}) with B_r Q_r Z_{r,n} P_r entrywise."""
+    """Compare M_d(f^e)^{-1} M_d(f^{e+1}) with B_r Q_r Z_{r,n} P_r entrywise.
+
+    Z is diagonal, so Z P is P with its rows scaled.
+    """
     lhs = spec.quotient
     B, Q, Z, P = spec.factors
-    rhs = B @ Q @ Z @ P
+    rhs = B @ Q @ P.scale_rows([Z[i, i] for i in range(Z.rows)])
     return {"holds": lhs == rhs, "lhs": lhs, "rhs": rhs}
 
 
@@ -241,7 +248,7 @@ def claimed_r1_inverse(spec: StructuredSpec) -> FpMatrix:
     Q = q_matrix(ctx, s, [Fraction(r - j, r) for j in range(1, r + 1)])
     P = p_matrix(ctx, s, [Fraction(-(2 * r - i), r) for i in range(1, r + 1)])
     n_inv = pow(n % ctx.p, ctx.p - 2, ctx.p)
-    return (Q @ _zeta_diag(spec, r) @ P).scale(n_inv)
+    return Q @ P.scale_rows([z * n_inv for z in _zeta(spec, r)])
 
 
 def r_um(spec: StructuredSpec) -> FpMatrix:

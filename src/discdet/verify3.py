@@ -12,9 +12,8 @@ every test polynomial of the stage:
     T4: x^r + x + b        (b = 2, 3)
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .ff import PrimeCtx, is_prime
 from .fpmat import det, m_matrix
@@ -29,10 +28,10 @@ from .poly import (
 from .sets import Triple, det_xr1, enumerate_C, g_exponent, half_g, t1_survivors  # noqa: F401
 
 STAGES = 4
+_T_COUNTS = {}  # each distinct t_counts tuple, shared by the reports that have it
 
 
-@dataclass
-class PrimeReport:
+class PrimeReport(NamedTuple):
     p: int
     c_counts: Tuple[int, int, int, int]
     t_counts: Tuple[int, int, int, int]
@@ -47,8 +46,7 @@ class PrimeReport:
         return ",".join(str(v) for v in (self.p, *self.c_counts, *self.t_counts))
 
 
-@dataclass
-class RangeStats:
+class RangeStats(NamedTuple):
     prime_count: int
     averages: Tuple[Fraction, Fraction, Fraction, Fraction]
     maxima: Tuple[int, int, int, int]
@@ -110,8 +108,10 @@ def verify_prime(ctx: PrimeCtx) -> PrimeReport:
                 break
             stage += 1
         stage_records.append((t, stage))
-    # t_counts[i] counts the candidates that passed stage T(i+1).
+    # t_counts[i] counts the candidates that passed stage T(i+1).  Few
+    # distinct t_counts occur (13 at p < 2000), so the reports share them.
     t_counts = tuple(sum(stage > i for _, stage in stage_records) for i in range(STAGES))
+    t_counts = _T_COUNTS.setdefault(t_counts, t_counts)
     return PrimeReport(p, c_counts, t_counts, stage_records)
 
 

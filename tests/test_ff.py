@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from discdet.ff import (
     DenominatorVanishes,
+    PrimeCtx,
     binom,
     bracket,
     bracket_bruteforce,
@@ -35,6 +36,10 @@ def test_prime_ctx_tables():
     for n in range(13):
         assert ctx.fact[n] == math.factorial(n) % 13
         assert ctx.fact[n] * ctx.inv_fact[n] % 13 == 1
+    # inv_fact comes from fact by Wilson's theorem; check it at every entry
+    for p in (2, 3, 5, 1999, 10007):
+        ctx = PrimeCtx(p)
+        assert all(ctx.fact[n] * ctx.inv_fact[n] % p == 1 for n in range(p)), p
 
 
 def test_prime_ctx_rejects_composite():

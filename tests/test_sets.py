@@ -19,6 +19,7 @@ from discdet.sets import (
     Triple,
     _divisors,
     _in_B,
+    _in_B_span,
     _in_U,
     _params,
     degree_balance,
@@ -177,6 +178,24 @@ def test_ranges_the_kernel_skips_lie_in_B():
                     assert in_B(t) is not None, (j, t)
 
 
+def test_b_members_of_a_column_are_one_span():
+    # t1_survivors drops a column's B members as one interval of positions
+    checked = 0
+    for p in range(3, 400):
+        if not is_prime(p):
+            continue
+        for r in _divisors(p - 1)[1:]:
+            for d in (r - 2, r - 1, r):
+                if d < 1:
+                    continue
+                for e_lo in range((p - 1) // 2 + 1, p):
+                    n = (p - 1 - e_lo) // (r - 1) + 1
+                    want = [i for i in range(n) if _in_B(p, r, e_lo + (r - 1) * i, d) is not None]
+                    assert list(_in_B_span(p, r, d, e_lo, n)) == want, (p, r, d, e_lo)
+                    checked += len(want)
+    assert checked > 10000
+
+
 def test_c2_c3_half_g_closed_forms():
     # the carry of (-rho)^{g/2} in t1_survivors relies on
     # g/2 = l d - m d(d+1)/2 + h: m = s/(r-1) for C2 and m = (s+2)/(r-1)
@@ -209,15 +228,33 @@ def test_c2_c3_half_g_closed_forms():
 
 
 def test_invariants_raise_under_python_O():
+    # t1_survivors checks g/2 at the two ends of each column, not per member:
+    # a class row whose h is off by one must still raise, without asserts
     script = textwrap.dedent("""
         import sys
+        import discdet.sets as sets
+        from discdet.ff import prime_ctx
         from discdet.sets import BadExponent, half_g
+
+        real_classes = sets._classes
+
+        def h_off_by_one(p, r):
+            for row in real_classes(p, r):
+                yield row[:8] + (row[8] + 1,) + row[9:]
+
+        def t1_with_bad_h(p):
+            sets._classes = h_off_by_one
+            try:
+                return sets.t1_survivors(prime_ctx(p))
+            finally:
+                sets._classes = real_classes
 
         if __debug__:
             sys.exit("not running under -O")
         checks = [
             (BadExponent, half_g, (7, 3, 3, 1)),  # g = 1, odd
             (BadExponent, half_g, (7, 4, 5, 1)),  # g = 7/3
+            (BadExponent, t1_with_bad_h, (61,)),
         ]
         for exc, fn, args in checks:
             try:

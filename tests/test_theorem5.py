@@ -150,6 +150,48 @@ def test_spec_derives_its_matrices_once(monkeypatch):
     assert sum(M == spec.Me for M in inverted) == 1
 
 
+def test_beta_rows_taken_once_per_lambda(monkeypatch):
+    # Q (lambda = -j/r) and P (lambda = -(r-i)/r) of build_PQZB share their
+    # d beta rows, and the m equal rows of u_matrix are one beta row
+    calls = []
+    real = theorem5.beta_coeffs
+
+    def counting(ctx, s, lam_mod, max_l):
+        calls.append(lam_mod)
+        return real(ctx, s, lam_mod, max_l)
+
+    monkeypatch.setattr(theorem5, "beta_coeffs", counting)
+    spec = random_spec(prime_ctx(23), 6, 19, random.Random(3))
+    B, Q, Z, P = build_PQZB(spec)
+    assert len(calls) == spec.d == len(set(calls))
+    s = [spec.s(i) for i in range(spec.r + 1)]
+    d = spec.d
+    assert Q == q_matrix(spec.ctx, s, [Fraction(-j, spec.r) for j in range(1, d + 1)])
+    assert P == p_matrix(spec.ctx, s, [Fraction(-(spec.r - i), spec.r) for i in range(1, d + 1)])
+    calls.clear()
+    U = u_matrix(spec.ctx, s, Fraction(2, 5), 7)
+    assert len(calls) == 1
+    assert U == p_matrix(spec.ctx, s, [Fraction(2, 5)] * 7)
+
+
+def test_zeta_scaling_matches_dense_products():
+    # check_theorem5 and claimed_r1_inverse scale by zeta instead of taking a
+    # dense product with diag(zeta); both give the dense products' entries
+    rng = random.Random(4)
+    for p, r, e in ((7, 3, 4), (13, 4, 10), (23, 6, 19), (11, 2, 7)):
+        spec = random_spec(prime_ctx(p), r, e, rng)
+        B, Q, Z, P = build_PQZB(spec)
+        assert check_theorem5(spec)["rhs"] == B @ Q @ Z @ P
+        ctx, n = spec.ctx, spec.n
+        zeta = [rational_mod_p(ctx, Fraction(n, r * n - (r - i))) for i in range(1, r + 1)]
+        Zr = FpMatrix(ctx, r, r, [zeta[i] if i == j else 0 for i in range(r) for j in range(r)])
+        s = [spec.s(i) for i in range(r + 1)]
+        Qr = q_matrix(ctx, s, [Fraction(r - j, r) for j in range(1, r + 1)])
+        Pr = p_matrix(ctx, s, [Fraction(-(2 * r - i), r) for i in range(1, r + 1)])
+        want = (Qr @ Zr @ Pr).scale(pow(n, -1, p))
+        assert theorem5.claimed_r1_inverse(spec) == want
+
+
 @pytest.mark.parametrize("p", [5, 13, 23])
 def test_me_read_from_l_matches_m_matrix(p):
     # M_d(f^e) taken from the window L equals an independent m_matrix build,

@@ -51,6 +51,9 @@ def test_verify_prime_pinned_rows():
     assert verify_prime(prime_ctx(3)).csv_row() == "3,0,0,0,0,0,0,0,0"
     assert verify_prime(prime_ctx(13)).csv_row() == "13,9,2,0,0,1,0,0,0"
     assert verify_prime(prime_ctx(31)).csv_row() == "31,26,11,7,0,10,0,0,0"
+    # reports with equal t_counts share one tuple
+    assert verify_prime(prime_ctx(3)).t_counts is verify_prime(prime_ctx(5)).t_counts == (0, 0, 0, 0)
+    assert verify_prime(prime_ctx(193)).t_counts is verify_prime(prime_ctx(193)).t_counts
 
 
 def test_verify_prime_rejects_p2():
@@ -300,8 +303,8 @@ def test_t1_takes_no_pow_per_c2_or_c3_member(monkeypatch):
 
 
 def test_t1_survivors_pinned_at_scale():
-    # 55441 (p-1 = 2^4 3^2 5 7 11) and 84389 (p+1 = 2 3 5 29 97) are past the
-    # reach of the reference in tier-1 time: per-class counts literally,
+    # 55441 (p-1 = 2^4 3^2 5 7 11), 84389 (p+1 = 2 3 5 29 97) and 196561 are
+    # past the reach of the reference in tier-1 time: per-class counts literally,
     # survivors by the sha256 of their repr, both recorded from an earlier,
     # separately written version of the kernel
     pinned = {
@@ -309,6 +312,9 @@ def test_t1_survivors_pinned_at_scale():
                 "4ab372a781e750bdb4191047921fcf7a508fc31f91d166aecddb4a7777bf0128"),
         84389: ((32444, 0, 97580, 840),
                 "a4e5a868f397f90eb9626cdf7d83d42eb4f27b57c59e2465e337cf607206504b"),
+        # p-1 = 2^4 3^3 5 7 13; C2 holds 1.41M of its 2.05M members
+        196561: ((538439, 1410159, 91502, 9316),
+                 "d5e86668d7ca3df60ae3707ede3c2a67c7dec00ab093d0e538f3b8b1231bf4b6"),
     }
     for p, (counts, digest) in pinned.items():
         got_counts, survivors = t1_survivors(prime_ctx(p))
