@@ -16,13 +16,14 @@ every factorial index the ratio reads is linear in l and (-rho)^{g/2} is
 geometric in l, so the walk takes a column, every l of the (r, class, d),
 at once, as strided slices of the factorial tables:
 
-    class  a_i (k_i = a_i - l)     e               d                  m        h         sign
-    C1     s                       s + (r-1)l      1                  0        0         1
-    C2     K i, K = (p-1)/(r-1)    (r-1)l          2..min(r, l//m)    s/(r-1)  0         1
-    C3     K i, K = (p+1)/(r-1)    (r-1)l - d - 1  2..min(r-1, l//m)  K - s    0         (-1)^{d(d-1)/2}
-    C4     ceil((ip-d)/(r-1)) - s  (r-1)(s+l)      r-2                0        (r-2)s/2  [-p/(r-1)] (-1)^{d(d-1)/2}
+    class  a_i (k_i = a_i - l)         e                 d                  m        h              sign
+    C1     s                           s + (r-1)l        1                  0        0              1
+    C2     K i, K = (p-1)/(r-1)        (r-1)l            2..min(r, l//m)    s/(r-1)  0              1
+    C3     K i, K = (p+1)/(r-1)        (r-1)l - d - 1    2..min(r-1, l//m)  K - s    0              (-1)^{d(d-1)/2}
+    C4     ceil((ip-d)/(r-1)) - s + t  (r-1)(s - t + l)  r-2                0        (r-2)(s-2t)/2  [-p/(r-1)] (-1)^{d(d-1)/2}
 
-with s = (p-1)/r and g/2 = d l - m d(d+1)/2 + h.
+with s = (p-1)/r, t = floor(s/(r-1)) and g/2 = d l - m d(d+1)/2 + h.  C4's
+l is the paper's plus t, so it runs over 0..2t.
 """
 
 from fractions import Fraction
@@ -290,35 +291,28 @@ def enumerate_C(j: int, ctx: PrimeCtx):
 def _classes(p: int, r: int):
     """C1-C4 at r | p-1 (r >= 3) as data for the column walk of ``t1_survivors``.
 
-    Yields (j, setup, c, moves, ls, d0, dmax, m, h, alt) for each class that
-    can have members outside B at r, as in the module docstring's table: the
-    members are l in ls and d0 <= d <= min(dmax, l // m) (only d0 = dmax
-    where m = 0), with e = (r-1)l + c - moves d and g/2 = d l - m d(d+1)/2 + h.
-    setup() gives the a_i, indexed from i = 0, and the constant factor of
-    the sign, which is that factor times (-1)^{alt d(d-1)/2}.  The walk calls
-    it only for a class with a member outside B, so C4 builds its offsets and
-    takes its ``bracket`` only then.
+    Yields (j, offs, sign, c, moves, ls, d0, dmax, m, h, alt) for each class
+    that can have members outside B at r, as in the module docstring's table:
+    the members are l in ls and d0 <= d <= min(dmax, l // m) (only d0 = dmax
+    where m = 0), with e = (r-1)l + c - moves d, k_i = offs[i] - l (offs is
+    indexed from i = 0) and g/2 = d l - m d(d+1)/2 + h.  A column's sign is
+    sign (-1)^{alt d(d-1)/2}.  C4 comes only where it has a member outside B
+    and C1-C3 (the four facts of ``t1_survivors``), so only there does it take
+    a ``bracket``.
     """
     s = (p - 1) // r
-    yield 1, lambda: ((0, s), 1), s, 0, range(1, s + 1), 1, 1, 0, 0, 0
+    yield 1, (0, s), 1, s, 0, range(1, s + 1), 1, 1, 0, 0, 0
     if s % (r - 1) == 0:
         m = s // (r - 1)
         k2 = r * m  # (p-1)/(r-1)
-        yield 2, lambda: (list(range(0, (r + 1) * k2, k2)), 1), 0, 0, range(2 * m, k2 + 1), 2, r, m, 0, 0
+        yield 2, range(0, (r + 1) * k2, k2), 1, 0, 0, range(2 * m, k2 + 1), 2, r, m, 0, 0
     if (p + 1) % (r - 1) == 0:
         k3 = (p + 1) // (r - 1)
-        yield (3, lambda: (list(range(0, r * k3, k3)), 1), -1, 1, range(2 * (k3 - s), k3 + 1),
-               2, r - 1, k3 - s, 0, 1)
-    # C4 with d in {r-1, r} lies wholly in B, so only d = r-2 is walked:
-    # U's d(p-1) <= re <= r(p-1) gives r(p-1-e) <= p-1 for d = r-1 (B0, as
-    # e > (p-1)/2 for r >= 3) and e = p-1 for d = r (B+).  Its l = 0 member,
-    # e = p-1-s, lies in B-, so with t = 0 (r > 3, as s is even at r = 3)
-    # C4 has no member outside B.
+        yield 3, range(0, r * k3, k3), 1, -1, 1, range(2 * (k3 - s), k3 + 1), 2, r - 1, k3 - s, 0, 1
     t = s // (r - 1)
-    if t:
-        yield (4, lambda: ([-((i * p - r + 2) // -(r - 1)) - s for i in range(r - 1)],
-                           bracket(-p, r - 1)),
-               (r - 1) * s, 0, range(-t + (r == 3), t + 1), r - 2, r - 2, 0, (r - 2) * s // 2, 1)
+    if t and s % (r - 1) not in (0, r - 3):  # r = 3 fails too: s is even there
+        yield (4, [-((i * p - r + 2) // -(r - 1)) - s + t for i in range(r - 1)], bracket(-p, r - 1),
+               (r - 1) * (s - t), 0, range(2 * t + 1), r - 2, r - 2, 0, (r - 2) * (s - 2 * t) // 2, 1)
 
 
 def _in_B_span(p: int, r: int, d: int, e_lo: int, n: int) -> range:
@@ -359,26 +353,43 @@ def t1_survivors(ctx: PrimeCtx):
     step d also multiplies by (-rho)^{-(l - m d)}, a slice of one table of
     the powers of (-rho)^{-1} (its indices stay in 0..s), and what is left
     of the right side is a constant of the column: the sign, prod_i 1/fact[is]
-    and, for C4, whose l start below 0 and shift those indices, one pow.
-    The list over l is carried along d and trimmed from the front as the
-    range l >= d m shrinks; where e moves with d (C3), each column still
-    multiplies its d e-dependent factor pairs, as slices.  A member survives
-    where its column's list holds the constant, so the list is only scanned.
+    and, where h > 0 (C4), one pow.  The list over l is carried along d and
+    trimmed from the front as the range l >= d m shrinks; where e moves with
+    d (C3), each column still multiplies its d e-dependent factor pairs, as
+    slices.  A member survives where its column's list holds the constant,
+    so the list is only scanned.
 
     B holds a member only at d in {r-2, r-1, r}, and there a column's B
     members are one interval of l, as e grows with l (``_in_B_span``); a
     column wholly in B (C2 at d = r-1 and r) is stepped through but not
-    scanned.  C4, one column at d = r-2, keeps only its members in U and in
-    none of C1-C3 (whose e at d = r-2 are one range per column), and is set
-    up only if it keeps one, so C4 at r = 3..6 for p = 61 takes no
-    ``bracket``.  Every C1-C4 member at r = 2 lies in B (C1 in B0, C2 in B+,
+    scanned.  Every C1-C4 member at r = 2 lies in B (C1 in B0, C2 in B+,
     no C3 or C4), so r = 2 is skipped, and each r >= 3 has a C1 member
     outside B, so the two discriminants and one inverse are taken once per
-    r >= 3.  half_g and d l - m d(d+1)/2 + h are both affine in l, so
-    checking them equal at both ends of each column with a member outside B
-    checks every member of it, and a g that is not a positive even integer
-    raises BadExponent.  The x^r-1 product and eps0 are taken for the
-    survivors only.
+    r >= 3.
+
+    C4, whose members must lie in U and in none of C1-C3, needs no test of
+    either.  Its members at d in {r-1, r} lie in B: U's
+    d(p-1) <= re <= r(p-1) gives r(p-1-e) <= p-1 at d = r-1 (B0, as
+    e > (p-1)/2 for r >= 3) and e = p-1 at d = r (B+).  With
+    t = floor(s/(r-1)), its d = r-2 members are e = (r-1)(s+l), |l| <= t
+    (l > -t at r = 3), and
+    - all of them lie in U: |l| <= t gives d(p-1) <= re <= r(p-1), and
+      g/2 = (r-2)(l + s/2) > 0 is an integer, as s is even where r is odd;
+    - at r = 3, each is the C1 member with l + s/2 in place of l;
+    - where (r-1) | s, their e/(r-1) fill [(r-2)m, rm], C2's column at
+      d = r-2 (m = s/(r-1) = t);
+    - where (r-1) | s+2, t = m - 1 with m = (s+2)/(r-1) of C3, whose column
+      at d = r-2 has e/(r-1) in [s-t, s+t];
+    - elsewhere (r >= 4) C1-C3 have no d = r-2 member, and B holds only
+      l = 0 (e = p-1-s, in B-), so with t = 0 no member is left.
+    So ``_classes`` gives C4, re-indexed by l + t, only where t >= 1 and
+    s mod (r-1) is neither 0 nor r-3, and it is a column like the others.
+
+    half_g and d l - m d(d+1)/2 + h are both affine in l, so checking them
+    equal at both ends of each column with a member outside B checks every
+    member of it, and a g that is not a positive even integer raises
+    BadExponent.  The x^r-1 product and eps0 are taken for the survivors
+    only.
     """
     p, fact, inv_fact = ctx.p, ctx.fact, ctx.inv_fact
     counts = [0, 0, 0, 0]
@@ -397,24 +408,11 @@ def t1_survivors(ctx: PrimeCtx):
         while len(down) <= s:
             down += [x * qk % p for x in down[:s + 1 - len(down)]]
             qk = qk * qk % p
-        taken = []  # e of the C1-C3 columns at d = r-2, a range each
-        for j, setup, c, moves, ls, d0, dmax, m, h, alt in _classes(p, r):
+        for j, offs, sign, c, moves, ls, d0, dmax, m, h, alt in _classes(p, r):
             lo0, hi = ls[0], ls[-1]
-            if j == 4:
-                # C4 is one column, d = r-2; it keeps the members outside B
-                # that lie in U and in none of C1-C3, and is set up only if
-                # there are any.
-                e_lo = (r - 1) * lo0 + c
-                out = _in_B_span(p, r, dmax, e_lo, len(ls))
-                out4 = {i for i, e in enumerate(range(e_lo, e_lo + (r - 1) * len(ls), r - 1))
-                        if i in out or taken and any(e in t for t in taken) or not _in_U(p, r, e, dmax)}
-                if len(out4) == len(ls):
-                    continue
-            offs, sign = setup()
-            shift = lo0 if lo0 < 0 else 0
             y, prev, inv_is = [1] * len(ls), lo0, 1
             for d in range(1, dmax + 1):
-                lo = max(lo0, d * m) if m else lo0
+                lo = max(lo0, d * m)
                 if lo > hi:
                     break
                 # Step d multiplies y, over l = lo..hi, by 1/k_d! and the
@@ -422,7 +420,7 @@ def t1_survivors(ctx: PrimeCtx):
                 # not move with d.
                 n, a, trim, prev = hi - lo + 1, offs[d], lo - prev, lo
                 ks = inv_fact[a - lo:a - hi - 1 if a > hi else None:-1]
-                rs = down[lo - m * d - shift:hi - m * d - shift + 1]
+                rs = down[lo - m * d:hi - m * d + 1]
                 if moves:
                     y = [v * k * t % p for v, k, t in zip(y[trim:], ks, rs)]
                 else:
@@ -433,14 +431,9 @@ def t1_survivors(ctx: PrimeCtx):
                 if d < d0:
                     continue
                 e_lo = (r - 1) * lo + c - moves * d
-                if j == 4:
-                    out = out4
-                else:
-                    out = _in_B_span(p, r, d, e_lo, n) if d >= r - 2 else ()
-                    if d == r - 2:
-                        taken.append(range(e_lo, e_lo + (r - 1) * n, r - 1))
-                    if len(out) == n:
-                        continue
+                out = _in_B_span(p, r, d, e_lo, n) if d >= r - 2 else ()
+                if len(out) == n:
+                    continue
                 counts[j - 1] += n - len(out)
                 z = y
                 if moves:  # C3: the e half of all d pairs, at this column's e
@@ -449,15 +442,14 @@ def t1_survivors(ctx: PrimeCtx):
                         z = [v * x * u % p for v, x, u in zip(
                             z, inv_fact[r * lo + ek:r * hi + ek + 1:r],
                             fact[(r - 1) * lo + ei:(r - 1) * hi + ei + 1:r - 1])]
-                for l in (lo, hi) if n > 1 else (lo,):
+                for l in (lo, hi):
                     # half_g's test (divided through by r) against the closed form
                     gh = d * l - m * d * (d + 1) // 2 + h
                     if gh <= 0 or 2 * ((r - 1) * l + c - moves * d) * d - d * (d + 1) * s != 2 * (r - 1) * gh:
                         raise BadExponent(f"g/2 of C{j} is not d l - m d(d+1)/2 + h at p={p}, r={r}, d={d}")
-                g_shift = d * shift + h
                 target = (-sign if alt and d * (d - 1) // 2 % 2 else sign) * inv_is % p
-                if g_shift:
-                    target = target * pow(neg_rho, g_shift, p) % p
+                if h:
+                    target = target * pow(neg_rho, h, p) % p
                 at = -1
                 for _ in range(z.count(target)):
                     at = z.index(target, at + 1)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from discdet.ff import is_prime, prime_ctx
+from discdet.ff import bracket, is_prime, prime_ctx
 from discdet.fpmat import det, m_matrix
 from discdet.poly import monomial_sum
 from discdet.sets import (
@@ -17,6 +17,7 @@ from discdet.sets import (
     NotInB,
     NotInD,
     Triple,
+    _classes,
     _divisors,
     _in_B,
     _in_B_span,
@@ -227,9 +228,46 @@ def test_c2_c3_half_g_closed_forms():
     assert min(checked) > 10000
 
 
+def test_c4_rows_are_its_members_outside_b_and_c1_c3():
+    # t1_survivors tests C4 members neither for U nor against C1-C3: every
+    # member lies in U, and the C4 members outside B and C1-C3 are the
+    # _classes row (re-indexed by l + t) less its l = 0, which lies in B-
+    rows = 0
+    for p in range(3, 3000):
+        if not is_prime(p):
+            continue
+        for r in _divisors(p - 1)[1:]:
+            s = (p - 1) // r
+            t, d = s // (r - 1), r - 2
+            members = list(_params(4, p, r))
+            assert all(_in_U(p, r, e, d) for e, d, _ in members), (p, r)
+            taken = {(e, d) for j in (1, 2, 3) for e, d, _ in _params(j, p, r)}
+            want = {(e, d, l) for e, d, l in members if (e, d) not in taken and _in_B(p, r, e, d) is None}
+            if r == 3 or s % (r - 1) == 0 or (s + 2) % (r - 1) == 0:
+                assert not want, (p, r)
+            c4 = [row for row in _classes(p, r) if row[0] == 4]
+            assert len(c4) == bool(want), (p, r)
+            got = set()
+            for _, offs, sign, c, moves, ls, d0, dmax, m, h, alt in c4:
+                assert (sign, moves, d0, dmax, m, alt) == (bracket(-p, r - 1), 0, d, d, 0, 1), (p, r)
+                for l in ls:
+                    e = (r - 1) * l + c
+                    # k_i = ceil((ip - d)/(r-1)) - s - (l - t)
+                    ks = [-((d - i * p) // (r - 1)) - s - l + t for i in range(1, d + 1)]
+                    assert [offs[i] - l for i in range(1, d + 1)] == ks, (p, r, l)
+                    assert d * l + h == half_g(p, r, e, d), (p, r, l)
+                    if l != t:
+                        got.add((e, d, l - t))
+            assert got == want, (p, r)
+            rows += len(c4)
+    assert rows > 500
+
+
 def test_invariants_raise_under_python_O():
     # t1_survivors checks g/2 at the two ends of each column, not per member:
-    # a class row whose h is off by one must still raise, without asserts
+    # a class row whose h is off by one must still raise, without asserts.
+    # At p = 97 every class has members outside B (107, 16, 34 and 6), so
+    # each class's own check is reached with only its h off (j = 0: all).
     script = textwrap.dedent("""
         import sys
         import discdet.sets as sets
@@ -238,24 +276,32 @@ def test_invariants_raise_under_python_O():
 
         real_classes = sets._classes
 
-        def h_off_by_one(p, r):
-            for row in real_classes(p, r):
-                yield row[:8] + (row[8] + 1,) + row[9:]
+        def h_off_by_one(j):
+            def rows(p, r):
+                for row in real_classes(p, r):
+                    yield row[:9] + (row[9] + 1,) + row[10:] if j in (0, row[0]) else row
+            return rows
 
-        def t1_with_bad_h(p):
-            sets._classes = h_off_by_one
+        def t1_with_bad_h(p, j):
+            sets._classes = h_off_by_one(j)
             try:
                 return sets.t1_survivors(prime_ctx(p))
+            except BadExponent as err:
+                if j and f"g/2 of C{j} " not in str(err):
+                    sys.exit(f"the bad h of C{j} raised elsewhere: {err}")
+                raise
             finally:
                 sets._classes = real_classes
 
         if __debug__:
             sys.exit("not running under -O")
+        if sets.t1_survivors(prime_ctx(97))[0] != (107, 16, 34, 6):
+            sys.exit("p = 97 no longer has members outside B in every class")
         checks = [
             (BadExponent, half_g, (7, 3, 3, 1)),  # g = 1, odd
             (BadExponent, half_g, (7, 4, 5, 1)),  # g = 7/3
-            (BadExponent, t1_with_bad_h, (61,)),
-        ]
+            (BadExponent, t1_with_bad_h, (61, 0)),
+        ] + [(BadExponent, t1_with_bad_h, (97, j)) for j in (1, 2, 3, 4)]
         for exc, fn, args in checks:
             try:
                 fn(*args)

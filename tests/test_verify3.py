@@ -235,8 +235,10 @@ def test_t1_takes_discriminants_only_at_r_with_candidates(monkeypatch):
     # p = 199523 is a safe prime: every member at r = 2 lies in B, so r = 2
     # costs no discriminant, and each other r takes Delta(x^r-1) and
     # Delta(x^r-x) once.  C4 is set up (its offsets and its sign, a bracket)
-    # only at a member outside B: 199523 has none, nor have 61 and 113, whose
-    # C4 is walked at r = 3..6 and r = 4, 7, 8.
+    # only at a member outside B and C1-C3: 199523 has none (its s < r-1 at
+    # every r >= 3), nor have 61 and 113, where C4 is not walked at all: its
+    # members at r = 3..6 for 61 lie in C1 (r = 3) or C2 ((r-1) | s), and at
+    # r = 4, 7, 8 for 113 in C2 or C3 ((r-1) divides s or s+2).
     import discdet.sets as sets_mod
 
     calls = []
