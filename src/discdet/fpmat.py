@@ -164,3 +164,49 @@ def m_matrix(f: FpPoly, e: int, d: int) -> FpMatrix:
     indices = [i * p + j - d - 1 for i in range(1, d + 1) for j in range(1, d + 1)]
     return FpMatrix(ctx, d, d, coeff_window(f, e, indices))
 
+
+def m_dets(f: FpPoly, e: int, ds):
+    """[det M_d(f^e) for d in ds], from one window and one elimination.
+
+    M_d is the top-right d x d block of M_D (D = max ds).  With its columns
+    reversed, entry (i, j) of M_D is [x^{ip-j}] f^e, so each M_d is the
+    leading d x d block with its columns reversed, and det M_d is
+    (-1)^{floor(d/2)} times the d-th leading principal minor.  Elimination
+    without row swaps gives the minors as prefix products of the pivots.  A
+    zero k-th pivot makes the k-th minor 0; a larger d takes ``det`` of its
+    block of the window.
+    """
+    ctx = f.ctx
+    p = ctx.p
+    ds = list(ds)
+    if not ds or min(ds) < 1 or max(ds) > p:
+        raise ValueError(f"need some d, each 1 <= d <= p, got ds={ds}")
+    top = max(ds)
+    window = coeff_window(f, e, [i * p - j for i in range(1, top + 1) for j in range(1, top + 1)])
+    rows = [window[i * top:(i + 1) * top] for i in range(top)]
+    minors = [1]  # minors[k]: the k-th leading minor, while the pivots are nonzero
+    # Only the pivot row is reduced mod p: after k steps an entry is below
+    # (k + 1) * p^2, which is small enough to skip a reduction per entry.
+    a = rows
+    while len(minors) <= top:
+        head = a[0][0] % p
+        if not head:
+            minors.append(0)
+            break
+        minors.append(minors[-1] * head % p)
+        neg_inv = p - pow(head, p - 2, p)
+        tail = [y % p for y in a[0][1:]]
+        nxt = []
+        for row in a[1:]:
+            c = row[0] * neg_inv % p
+            nxt.append([x + c * y for x, y in zip(row[1:], tail)] if c else row[1:])
+        a = nxt
+    out = []
+    for d in ds:
+        if d < len(minors):
+            minor = minors[d]
+        else:
+            minor = det(FpMatrix(ctx, d, d, [v for row in rows[:d] for v in row[:d]]))
+        out.append(minor if d // 2 % 2 == 0 else -minor % p)
+    return out
+

@@ -13,32 +13,41 @@ every test polynomial of the stage:
 """
 
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import List, NamedTuple, Tuple
 
 from .ff import PrimeCtx, is_prime
-from .fpmat import det, m_matrix
+# enumerate_C, g_exponent, det and m_matrix are not called here;
+# perfbench/tracer.py wraps them under this module's name.
+from .fpmat import det, m_dets, m_matrix  # noqa: F401
 from .poly import (
     XR_MINUS_1,
     monomial_sum,
     special_discriminant,
     trinomial_discriminant,
 )
-# enumerate_C and g_exponent are not called here; perfbench/tracer.py wraps them
-# under this module's name.
 from .sets import Triple, det_xr1, enumerate_C, g_exponent, half_g, t1_survivors  # noqa: F401
 
 STAGES = 4
 _T_COUNTS = {}  # each distinct t_counts tuple, shared by the reports that have it
 
 
+class Candidate(NamedTuple):
+    """A T1 survivor's (r, e, d), without its prime's tables."""
+    r: int
+    e: int
+    d: int
+
+
 class PrimeReport(NamedTuple):
     p: int
     c_counts: Tuple[int, int, int, int]
     t_counts: Tuple[int, int, int, int]
-    stage_records: List[Tuple[Triple, int]]  # candidates past T1, stage reached
+    stage_records: List[Tuple[Candidate, int]]  # candidates past T1, stage reached
 
     @property
-    def survivors(self) -> List[Triple]:
+    def survivors(self) -> List[Candidate]:
         """The candidates that passed every stage."""
         return [t for t, stage in self.stage_records if stage == STAGES]
 
@@ -65,12 +74,16 @@ def baseline_eps0(t: Triple) -> int:
     return det_xr1(t) * pow(inv_d1, half_g(ctx.p, t.r, t.e, t.d), ctx.p) % ctx.p
 
 
+def _passes(p: int, r: int, e: int, f, delta: int, members) -> List[bool]:
+    """For each (d, eps0) of members: det M_d(f^e) = eps0 * delta^{g/2}."""
+    dets = m_dets(f, e, [d for d, _ in members])
+    return [lhs == eps0 * pow(delta, half_g(p, r, e, d), p) % p
+            for lhs, (d, eps0) in zip(dets, members)]
+
+
 def test_candidate(t: Triple, f, eps0: int, delta: int) -> bool:
     """True iff det M_d(f^e) = eps0 * delta^{g/2}, with delta = Delta(f)."""
-    p = t.p
-    gh = half_g(p, t.r, t.e, t.d)
-    lhs = det(m_matrix(f, t.e, t.d))
-    return lhs == eps0 * pow(delta, gh, p) % p
+    return _passes(t.p, t.r, t.e, f, delta, [(t.d, eps0)])[0]
 
 
 def _stage_families(ctx: PrimeCtx, r: int):
@@ -94,20 +107,37 @@ def _stage_families(ctx: PrimeCtx, r: int):
     return [t2, t3, t4]
 
 
+def _group_stages(ctx: PrimeCtx, r: int, e: int, members) -> List[int]:
+    """The stage each (d, eps0) of one (r, e) group reaches.
+
+    The members still alive share each test: one window of f^e, sized to
+    their largest d, and one elimination.  A member leaves at its first
+    failing test.
+    """
+    stages = [1] * len(members)
+    alive = list(range(len(members)))
+    for family in _stage_families(ctx, r):
+        for f, delta in family:
+            held = _passes(ctx.p, r, e, f, delta, [members[i] for i in alive])
+            alive = [i for i, ok in zip(alive, held) if ok]
+            if not alive:
+                return stages
+        for i in alive:
+            stages[i] += 1
+    return stages
+
+
 def verify_prime(ctx: PrimeCtx) -> PrimeReport:
     p = ctx.p
     if p == 2:
         raise ValueError("p = 2 has no candidates (r | p-1 is impossible)")
     c_counts, passed_t1 = t1_survivors(ctx)
     stage_records = []
-    for r, e, d, eps0 in passed_t1:
-        t = Triple(ctx, r, e, d)
-        stage = 1
-        for family in _stage_families(ctx, r):
-            if not all(test_candidate(t, f, eps0, delta) for f, delta in family):
-                break
-            stage += 1
-        stage_records.append((t, stage))
+    # passed_t1 ascends by (r, e, d), so each (r, e) group is one run of it
+    for (r, e), group in groupby(passed_t1, key=itemgetter(0, 1)):
+        members = [(d, eps0) for _, _, d, eps0 in group]
+        stages = _group_stages(ctx, r, e, members)
+        stage_records += [(Candidate(r, e, d), stage) for (d, _), stage in zip(members, stages)]
     # t_counts[i] counts the candidates that passed stage T(i+1).  Few
     # distinct t_counts occur (13 at p < 2000), so the reports share them.
     t_counts = tuple(sum(stage > i for _, stage in stage_records) for i in range(STAGES))

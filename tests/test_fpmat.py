@@ -2,9 +2,11 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import discdet.fpmat as fpmat_mod
 from discdet.ff import prime_ctx
-from discdet.fpmat import FpMatrix, Singular, det, inverse, m_matrix
+from discdet.fpmat import FpMatrix, Singular, det, inverse, m_dets, m_matrix
 from discdet.poly import FpPoly, monomial_sum, poly_pow
 
 
@@ -109,3 +111,46 @@ def test_m_matrix_rejects_bad_d():
         m_matrix(f, 2, 0)
     with pytest.raises(ValueError):
         m_matrix(f, 2, 6)
+    for ds in ([0, 1], [6], []):
+        with pytest.raises(ValueError):
+            m_dets(f, 2, ds)
+
+
+@st.composite
+def trinomial_dets_cases(draw):
+    """(f, e, ds): f = x^r + a x^k + b over a small F_p, e < p, and 1-4
+    sizes d <= min(p, 8), unsorted and possibly repeated."""
+    p = draw(st.sampled_from([5, 7, 13, 31, 101]))
+    ctx = prime_ctx(p)
+    r = draw(st.integers(2, 6))
+    k = draw(st.integers(1, r - 1))
+    f = monomial_sum(ctx, [(r, 1), (k, draw(st.integers(1, p - 1))), (0, draw(st.integers(0, p - 1)))])
+    e = draw(st.integers(1, p - 1))
+    ds = draw(st.lists(st.integers(1, min(p, 8)), min_size=1, max_size=4))
+    return f, e, ds
+
+
+@settings(deadline=None, max_examples=150)
+@given(trinomial_dets_cases())
+def test_m_dets_matches_det_of_each_m_matrix(case):
+    f, e, ds = case
+    assert m_dets(f, e, ds) == [det(m_matrix(f, e, d)) for d in ds]
+
+
+def test_m_dets_reads_a_zero_pivot_and_falls_back_past_it(monkeypatch):
+    # at p = 20023, (x^142 + x + 1)^423 has a zero 4th pivot: det M_4 = 0 is
+    # read from the pivots, and only d = 5 takes det of its block
+    ctx = prime_ctx(20023)
+    f = monomial_sum(ctx, [(142, 1), (1, 1), (0, 1)])
+    ds = [1, 2, 3, 4, 5]
+    want = [det(m_matrix(f, 423, d)) for d in ds]
+    assert want == [11967, 13656, 13656, 0, 0]
+    sizes = []
+
+    def counted(M):
+        sizes.append(M.rows)
+        return det(M)
+
+    monkeypatch.setattr(fpmat_mod, "det", counted)
+    assert m_dets(f, 423, ds) == want
+    assert sizes == [5]

@@ -358,7 +358,7 @@ def test_kappa_survivors_actually_survive_t1():
         if in_B(t) is not None:
             continue  # members of B are not pipeline candidates
         rep = verify_prime(prime_ctx(p))
-        assert t.as_tuple() in {u.as_tuple() for u, _ in rep.stage_records}, (p, t)
+        assert t.as_tuple() in {tuple(u) for u, _ in rep.stage_records}, (p, t)
 
 
 def test_kappa_predicts_every_small_s_c1_survivor():

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import pickle
 import random
 from collections import Counter
 from pathlib import Path
@@ -9,8 +10,8 @@ import pytest
 from discdet.ff import is_prime, prime_ctx
 from discdet.fpmat import det, m_matrix
 from discdet.poly import FpPoly, XR_MINUS_1, XR_MINUS_X, discriminant, monomial_sum, special_discriminant
-from discdet.sets import Triple, enumerate_B, enumerate_C, epsilon, g_exponent, in_B, t1_survivors
-from discdet.verify3 import RangeStats, baseline_eps0, verify_prime, verify_range
+from discdet.sets import Triple, enumerate_B, enumerate_C, epsilon, g_exponent, half_g, in_B, t1_survivors
+from discdet.verify3 import STAGES, RangeStats, _group_stages, _stage_families, baseline_eps0, verify_prime, verify_range
 from discdet.verify3 import test_candidate as det_identity_holds
 from fractions import Fraction
 
@@ -63,14 +64,15 @@ def test_verify_prime_rejects_p2():
 
 def test_t_counts_monotone_and_bounded():
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 193):
-        rep = verify_prime(prime_ctx(p))
+        ctx = prime_ctx(p)
+        rep = verify_prime(ctx)
         assert rep.t_counts[0] <= sum(rep.c_counts)
         for s in range(3):
             assert rep.t_counts[s] >= rep.t_counts[s + 1], p
         assert len(rep.survivors) == rep.t_counts[3]
         for t, stage in rep.stage_records:
             assert 1 <= stage <= 4
-            assert in_B(t) is None
+            assert in_B(Triple(ctx, *t)) is None
 
 
 def test_first_t2_survivor_is_193():
@@ -171,7 +173,7 @@ def test_stage1_closed_form_matches_direct_det():
             continue
         ctx = prime_ctx(p)
         rep = verify_prime(ctx)
-        passed_t1 = {t.as_tuple() for t, _ in rep.stage_records}
+        passed_t1 = {tuple(t) for t, _ in rep.stage_records}
         counts, closed, members = _reference_t1(ctx)
         assert t1_survivors(ctx) == (counts, closed), p
         assert rep.c_counts == counts, p
@@ -325,25 +327,105 @@ def test_t1_survivors_pinned_at_scale():
 
 
 def test_verify_prime_builds_one_polynomial_per_test(monkeypatch):
-    # each T2-T4 test polynomial is built when a test draws it, so a survivor
-    # that stops at its first test costs one polynomial, not its degree's 2r
+    # at 211 the 34 T1 survivors fall into 15 (r, e) groups.  Each test
+    # polynomial is built when a group draws it, and the members still alive
+    # share its one window: the windows' members are exactly the tests the
+    # survivors would take one at a time, in fewer windows
     import discdet.verify3 as verify3_mod
 
-    built, tested = [], []
-    real_sum, real_test = verify3_mod.monomial_sum, verify3_mod.test_candidate
+    ctx = prime_ctx(211)
+    built = []
+    real_sum = verify3_mod.monomial_sum
 
     def counting_sum(*args):
         built.append(args)
         return real_sum(*args)
 
-    def counting_test(*args):
-        tested.append(args)
-        return real_test(*args)
-
     monkeypatch.setattr(verify3_mod, "monomial_sum", counting_sum)
-    monkeypatch.setattr(verify3_mod, "test_candidate", counting_test)
-    verify_prime(prime_ctx(7561))
-    assert len(built) == len(tested) > 0
+    windows = _count_windows(monkeypatch)
+    rep = verify_prime(ctx)
+    monkeypatch.undo()
+    assert len({(t.r, t.e) for t, _ in rep.stage_records}) == 15
+    assert len(built) == len(windows) > 0
+    tests = 0
+    for t, stage in rep.stage_records:
+        u = Triple(ctx, *t)
+        reached, taken = _stages_one_at_a_time(u, baseline_eps0(u))
+        assert reached == stage, t
+        tests += taken
+    assert sum(map(len, windows)) == tests
+    assert len(windows) < tests
+
+
+def _count_windows(monkeypatch):
+    """The ds of each m_dets call verify3 makes from now on, in order."""
+    import discdet.verify3 as verify3_mod
+
+    windows = []
+    real_dets = verify3_mod.m_dets
+
+    def counting_dets(f, e, ds):
+        windows.append(list(ds))
+        return real_dets(f, e, ds)
+
+    monkeypatch.setattr(verify3_mod, "m_dets", counting_dets)
+    return windows
+
+
+def _stages_one_at_a_time(t, eps0):
+    """(stage reached, tests taken) by t alone, one test_candidate per test."""
+    stage, taken = 1, 0
+    for family in _stage_families(t.ctx, t.r):
+        for f, delta in family:
+            taken += 1
+            if not det_identity_holds(t, f, eps0, delta):
+                return stage, taken
+        stage += 1
+    return stage, taken
+
+
+def test_group_members_leave_at_their_own_first_failing_test(monkeypatch):
+    # no (r, e) group of a prime below 30000 splits, so one is made: at
+    # p = 31, (5, 30, 4) and (5, 30, 5) lie in B and pass every test, and
+    # (5, 30, 1) gets the eps0 that passes the first T2 test only.  The
+    # group reaches the stages of one test per member, with the d = 1 member
+    # in the first two windows only
+    ctx = prime_ctx(31)
+    r, e = 5, 30
+    f, delta = next(_stage_families(ctx, r)[0])
+    eps_1 = det(m_matrix(f, e, 1)) * pow(delta, -half_g(31, r, e, 1), 31) % 31
+    members = [(1, eps_1)] + [(d, epsilon(Triple(ctx, r, e, d))) for d in (4, 5)]
+    want = [_stages_one_at_a_time(Triple(ctx, r, e, d), eps0) for d, eps0 in members]
+    assert want == [(1, 2), (STAGES, 9), (STAGES, 9)]
+    windows = _count_windows(monkeypatch)
+    assert _group_stages(ctx, r, e, members) == [1, STAGES, STAGES]
+    assert windows == [[1, 4, 5]] * 2 + [[4, 5]] * 7
+
+
+def test_report_pickles_without_prime_ctx():
+    # a report sent back from a worker carries plain (r, e, d), not the
+    # prime's factorial tables
+    rep = verify_prime(prime_ctx(1801))
+    data = pickle.dumps(rep)
+    assert len(rep.stage_records) == 21
+    assert b"PrimeCtx" not in data and len(data) < 1024
+    assert pickle.loads(data) == rep
+
+
+@pytest.mark.parametrize("p, t_counts, digest", [
+    (12433, (220, 0, 0, 0), "fd4eb5013d40c2c2d1c5ebea23b68d8a166174c16e58c0cd165f4c1b00bf1dfa"),
+    (176419, (45, 0, 0, 0), "550d178453667157270fbfba152c2bf267b209d0d3361e4e018c95fde71626f1"),
+])
+def test_verify_prime_pinned_at_scale(p, t_counts, digest):
+    # 220 survivors in 76 (r, e) groups at 12433, and 43 of the 45 at 176419
+    # share (243, 176418).  The records come out ascending; t_counts and the
+    # sha256 of the (r, e, d, stage) records were recorded with one test per
+    # survivor
+    rep = verify_prime(prime_ctx(p))
+    records = [(*t, stage) for t, stage in rep.stage_records]
+    assert records == sorted(records)
+    assert rep.t_counts == t_counts
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("p", [7561, 15121, 20161, 30241, 55441])
