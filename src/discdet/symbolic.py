@@ -6,6 +6,7 @@ single-variable (s_0-adic) valuations in the experimental checks.
 """
 
 from itertools import combinations
+from operator import mul
 
 from .ff import PrimeCtx
 
@@ -22,6 +23,11 @@ def check_desk_scale(p: int, r: int):
 
 def _grlex_key(mono):
     return (sum(mono), mono)
+
+
+def _top_exponent(terms) -> int:
+    """Largest exponent in any monomial of terms; 0 when there is none."""
+    return max((a for mono in terms for a in mono), default=0)
 
 
 class MultiPoly:
@@ -88,14 +94,26 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
-        p = self.ctx.p
+        p, nv = self.ctx.p, self.nvars
+        # Monomials packed as the digits of one int in base B: no digit of a
+        # product reaches B, so multiplying monomials is adding keys, no carry.
+        base = _top_exponent(self.terms) + _top_exponent(other.terms) + 1
+        weights = [base**i for i in range(nv)]
+        right = [(sum(map(mul, m, weights)), c) for m, c in other.terms.items()]
         out = {}
+        get = out.get
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                out[mono] = (out.get(mono, 0) + c1 * c2) % p
-        res = MultiPoly(self.ctx, self.nvars)
-        res.terms = {m: c for m, c in out.items() if c}
+            k1 = sum(map(mul, m1, weights))
+            for k2, c2 in right:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        terms = {}
+        for k, c in out.items():
+            c %= p
+            if c:
+                terms[tuple([k // w % base for w in weights])] = c
+        res = MultiPoly(self.ctx, nv)
+        res.terms = terms
         return res
 
     __rmul__ = __mul__

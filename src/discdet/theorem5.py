@@ -48,9 +48,14 @@ class StructuredSpec:
 
     def s(self, i: int) -> int:
         """s_i = coefficient of x^{r-i}; zero outside 0..r."""
-        return self.f.coeff(self.r - i) if 0 <= i <= self.r else 0
+        return self.s_padded[i + self.r] if 0 <= i <= self.r else 0
 
     # Derived once per spec; every check reads them from here.
+    @cached_property
+    def s_padded(self) -> list:
+        """s_{-r}..s_{2r}: s_i at position i + r, zero outside 0..r."""
+        return [0] * self.r + self.f.coeffs[::-1] + [0] * self.r
+
     @cached_property
     def L(self) -> FpMatrix:
         """The d x (r+d) window [x^{ip+j-2r}] f^e, from one expansion of f^e."""
@@ -225,14 +230,15 @@ def check_theorem5(spec: StructuredSpec) -> dict:
 def build_LVR(spec: StructuredSpec):
     """L (d x (r+d)), V ((r+d) x d), R ((r+d) x r) of the elimination route."""
     ctx, r, d, p, n = spec.ctx, spec.r, spec.d, spec.p, spec.n
+    s = spec.s_padded  # s_{i-j} at i - j + r
     V = FpMatrix.from_rows(
-        ctx, [[spec.s(i - j) for j in range(1, d + 1)] for i in range(1, r + d + 1)]
+        ctx, [[s[i - j + r] for j in range(1, d + 1)] for i in range(1, r + d + 1)]
     )
     R = FpMatrix.from_rows(
         ctx,
         [
             [
-                (n * (r - i + j) - (r - j)) * spec.s(i - j) % p
+                (n * (r - i + j) - (r - j)) * s[i - j + r] % p
                 for j in range(1, r + 1)
             ]
             for i in range(1, r + d + 1)
@@ -255,11 +261,12 @@ def r_um(spec: StructuredSpec) -> FpMatrix:
     """R^u reduced modulo the zeta ideal: s_{i-j} off the last column,
     (1 - (i-r)/r) s_{i-r} in column r."""
     ctx, r, d, p = spec.ctx, spec.r, spec.d, spec.p
+    s = spec.s_padded  # s_{i-j} at i - j + r
     inv_r = pow(r % p, p - 2, p)
     rows = []
     for i in range(1, r + d + 1):
-        row = [spec.s(i - j) for j in range(1, r)]
-        row.append((1 - (i - r) * inv_r) * spec.s(i - r) % p)
+        row = [s[i - j + r] for j in range(1, r)]
+        row.append((1 - (i - r) * inv_r) * s[i] % p)
         rows.append(row)
     return FpMatrix.from_rows(ctx, rows)
 
@@ -268,23 +275,21 @@ def formula_br_lhs(spec: StructuredSpec) -> FpMatrix:
     """The three-term expression claimed to equal B_r."""
     ctx, r, p = spec.ctx, spec.r, spec.p
     m = r - 1
-    s = spec.s
+    # s_k at k + r. The s_k outside 0..r are zero, which makes s_{i-j} lower
+    # and s_{r-j+i} upper triangular.
+    s = spec.s_padded
+    lower = [[s[r + i - j] for j in range(m)] for i in range(m)]
+    upper = [[s[2 * r - j + i] for j in range(m)] for i in range(m)]
     A1 = FpMatrix.from_rows(
-        ctx,
-        [[(j - i) * s(r - j + i) % p if j >= i else 0 for j in range(m)] for i in range(m)],
+        ctx, [[(j - i) * upper[i][j] % p for j in range(m)] for i in range(m)]
     )
-    A2 = FpMatrix.from_rows(
-        ctx, [[s(i - j) if i >= j else 0 for j in range(m)] for i in range(m)]
-    )
-    A3 = FpMatrix.from_rows(
-        ctx, [[s(r - j + i) if j >= i else 0 for j in range(m)] for i in range(m)]
-    )
+    A2 = FpMatrix.from_rows(ctx, lower)
+    A3 = FpMatrix.from_rows(ctx, upper)
     A4 = FpMatrix.from_rows(
-        ctx,
-        [[(r - i + j) * s(i - j) % p if i >= j else 0 for j in range(m)] for i in range(m)],
+        ctx, [[(r - i + j) * lower[i][j] % p for j in range(m)] for i in range(m)]
     )
-    col = FpMatrix(ctx, m, 1, [(r - i) * s(i) % p for i in range(1, r)])
-    row = FpMatrix(ctx, 1, m, [(r - j) * s(r - j) % p for j in range(1, r)])
+    col = FpMatrix(ctx, m, 1, [(r - i) * s[r + i] % p for i in range(1, r)])
+    row = FpMatrix(ctx, 1, m, [(r - j) * s[2 * r - j] % p for j in range(1, r)])
     inv_r = pow(r % p, p - 2, p)
     return (A3 @ A4) - (A1 @ A2) - (col @ row).scale(inv_r)
 

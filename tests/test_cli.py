@@ -53,11 +53,14 @@ def test_verify3_stage_counts_on_stdout(capsys):
 
 
 def test_th1sym_small(capsys):
-    code, stdout, _ = run(capsys, "th1sym", "--max-p", "5", "--max-r", "3")
+    code, stdout, _ = run(capsys, "th1sym", "--max-p", "7", "--max-r", "4")
     assert code == 0
     lines = stdout.splitlines()
     assert "5 2 3 1 True 3 2" in lines
     assert all(l.split()[4] == "True" for l in lines)
+    # sha256 of stdout, pinned from the tuple-key MultiPoly product
+    digest = "19a3e3b57c7a451496f2f0b4dfa77eb328144e2c7f36752f296bb97cae3b9fc1"
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
 
 
 def test_th5_explicit_coeffs(capsys):

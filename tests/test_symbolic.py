@@ -1,10 +1,14 @@
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from discdet.ff import prime_ctx
 from discdet.fpmat import FpMatrix, det
-from discdet.sets import Triple
+from discdet.sets import Triple, enumerate_B
 from discdet.symbolic import (
     MultiPoly,
     ScaleRefusal,
@@ -27,6 +31,48 @@ def test_multipoly_arithmetic():
     assert (square - square).is_zero()
     assert (x - y).evaluate([5, 3]) == 2
     assert square ** 3 == square * square * square
+
+
+def schoolbook(f, g):
+    """Terms of f * g by the tuple-key product, reduced once at the end."""
+    out = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            out[mono] = out.get(mono, 0) + c1 * c2
+    p = f.ctx.p
+    return {m: c % p for m, c in out.items() if c % p}
+
+
+@st.composite
+def product_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    nvars = draw(st.integers(0, 5))
+    # Both sides draw from one small pool of monomials, so many products share
+    # a monomial and their coefficients can cancel mod p.
+    mono = st.tuples(*[st.integers(0, 9)] * nvars)
+    pool = draw(st.lists(mono, min_size=1, max_size=6, unique=True))
+    side = st.dictionaries(st.sampled_from(pool), st.integers(1, p - 1), max_size=12)
+    ctx = prime_ctx(p)
+    return MultiPoly(ctx, nvars, draw(side)), MultiPoly(ctx, nvars, draw(side))
+
+
+@settings(deadline=None, max_examples=300)
+@given(product_cases())
+@example((MultiPoly(prime_ctx(2), 0, {(): 1}), MultiPoly(prime_ctx(2), 0, {(): 1})))
+@example((  # every digit of the product is B - 1 = 18
+    MultiPoly(prime_ctx(13), 2, {(9, 9): 2}), MultiPoly(prime_ctx(13), 2, {(9, 9): 3})
+))
+@example((  # (x + y)(x - y): the two xy terms cancel
+    MultiPoly(prime_ctx(7), 2, {(1, 0): 1, (0, 1): 1}),
+    MultiPoly(prime_ctx(7), 2, {(1, 0): 1, (0, 1): 6}),
+))
+def test_packed_product_matches_schoolbook(case):
+    f, g = case
+    got = (f * g).terms
+    assert got == schoolbook(f, g)
+    assert all(0 < c < f.ctx.p for c in got.values())
+    assert all(len(m) == f.nvars for m in got)
 
 
 def test_exact_div_roundtrip_and_failure():
@@ -128,6 +174,35 @@ def test_symbolic_m_matrix_matches_numeric():
 def test_theorem1_check_pinned_case():
     rep = theorem1_check(Triple(prime_ctx(5), 2, 3, 1))
     assert rep["holds"] and rep["eps"] == 3 and rep["g"] == 2
+
+
+def lhs_digest(rep):
+    return hashlib.sha256(repr(rep["lhs"]).encode()).hexdigest()  # repr sorts the terms
+
+
+def test_theorem1_lhs_pinned():
+    # Both sides of the identity go through the same product, so "holds"
+    # alone cannot see a fault that hits both alike; the digests can. They
+    # were recorded from the tuple-key product, before monomials were packed.
+    path = Path(__file__).resolve().parent / "data" / "theorem1_lhs_sha256.json"
+    with open(path) as fh:
+        pinned = json.load(fh)
+    got = {}
+    for p in (2, 3, 5, 7):
+        for t in enumerate_B(prime_ctx(p)):
+            if t.r <= 4:
+                rep = theorem1_check(t)
+                assert rep["holds"], t
+                got[f"{p} {t.r} {t.e} {t.d}"] = lhs_digest(rep)
+    assert got == pinned
+
+
+def test_theorem1_check_at_r5():
+    # the desk-scale edge: M_4(f^4) at p = 5 for the generic quintic
+    rep = theorem1_check(Triple(prime_ctx(5), 5, 4, 4))
+    assert rep["holds"] and rep["eps"] == 1 and rep["g"] == 4
+    assert len(rep["lhs"].terms) == 29020
+    assert lhs_digest(rep) == "15ee12ba0d5fe4090dc094d8022b12d3a626df642632c36b2054ce1468b2de62"
 
 
 def test_theorem1_check_takes_no_division(monkeypatch):
