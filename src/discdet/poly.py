@@ -4,7 +4,8 @@ Coefficients are stored ascending (index i = coefficient of x^i) with no
 trailing zeros; the zero polynomial has an empty coefficient list.
 """
 
-from math import gcd
+from array import array
+from math import gcd, prod
 from operator import mul
 
 from .ff import PrimeCtx
@@ -66,7 +67,7 @@ class FpPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return FpPoly(self.ctx, [a * other for a in self.coeffs])
-        return _mul(self, other)
+        return FpPoly(self.ctx, _mul(self.coeffs, other.coeffs, self.ctx.p))
 
     __rmul__ = __mul__
 
@@ -81,6 +82,10 @@ class FpPoly:
         return f"FpPoly(p={self.ctx.p}, {self.coeffs})"
 
 
+# (bits, type code) of the unsigned array types, narrowest first
+_WORDS = [(8 * array(code).itemsize, code) for code in "BHIQ"]
+
+
 def monomial_sum(ctx: PrimeCtx, terms) -> FpPoly:
     """Build a polynomial from (exponent, coefficient) pairs."""
     if not terms:
@@ -91,19 +96,39 @@ def monomial_sum(ctx: PrimeCtx, terms) -> FpPoly:
     return FpPoly(ctx, out)
 
 
-def _mul(a: FpPoly, b: FpPoly) -> FpPoly:
-    """Kronecker substitution into byte slots wide enough for
-    min(la, lb) * (p-1)^2, so CPython's subquadratic integer multiply does
-    the work and packing and unpacking stay linear."""
-    if a.is_zero() or b.is_zero():
-        return FpPoly(a.ctx, [])
-    la, lb = len(a.coeffs), len(b.coeffs)
-    w = ((min(la, lb) * (a.ctx.p - 1) ** 2).bit_length() + 7) // 8
-    na, nb = (int.from_bytes(b"".join(c.to_bytes(w, "little") for c in x.coeffs), "little")
-              for x in (a, b))
-    buf = (na * nb).to_bytes(w * (la + lb - 1), "little")
-    slots = range(0, len(buf), w)
-    return FpPoly(a.ctx, [int.from_bytes(buf[i:i + w], "little") for i in slots])
+def _mul(x, y, p: int):
+    """Exact product of two coefficient lists with entries in [0, p), as a
+    list of unreduced integers (no trailing zeros are stripped).
+
+    Kronecker substitution (Harvey 2009): each operand is packed into one
+    integer, one slot per coefficient, so CPython's subquadratic integer
+    multiply does the work.  A slot holds min(la, lb) (p-1)^2; it is the
+    narrowest machine word of ``array`` that does (B, H, I or Q, by itemsize),
+    so packing and unpacking are one ``array`` conversion each, with no loop
+    per slot.  Past 64 bits a slot takes as many 8-byte words as it needs,
+    each coefficient in the low word, and the words are joined back by
+    shifts.  One list given as both operands is packed once and squared.
+    """
+    if not x or not y:
+        return []
+    bits = (min(len(x), len(y)) * (p - 1) ** 2).bit_length()
+    for width, code in _WORDS:
+        if bits <= width:
+            break
+    k = -(-bits // width)  # words per slot
+    packed = []
+    for z in (x,) if y is x else (x, y):
+        words = array(code, z)
+        if k > 1:
+            words, low = array(code, bytes(len(z) * k * width >> 3)), words
+            words[::k] = low
+        packed.append(int.from_bytes(words, "little"))
+    size = (len(x) + len(y) - 1) * k * width >> 3
+    words = array(code, (packed[0] * packed[-1]).to_bytes(size, "little"))
+    out = words[::k].tolist()
+    for j in range(1, k):
+        out = [v | w << width * j for v, w in zip(out, words[j::k])]
+    return out
 
 
 def divmod_poly(a: FpPoly, b: FpPoly):
@@ -151,7 +176,11 @@ def _sparse_window(f: FpPoly, e: int, indices):
     t = (g_2 - g_0) / g, where g = gcd(g_1 - g_0, g_2 - g_0), the solutions
     form one progression: k_2 steps by s through the class b / t mod s,
     k_1 = (b - k_2 t) / s steps by -t and k_0 by t - s.  Each coefficient
-    is then one sum over three strided slices of the c^k / k! tables.
+    is then e! c_0^{k_0} c_1^{k_1} c_2^{k_2} at the first solution times one
+    sum over three strided slices of ``inv_fact``, whose j-th term is also
+    weighted by rho^j, rho = c_0^{t-s} c_1^{-t} c_2^s, when rho != 1.  The
+    powers of rho are built by doubling up to the longest progression read,
+    so a window costs O(terms), not O(e).
     """
     ctx = f.ctx
     p = ctx.p
@@ -161,36 +190,35 @@ def _sparse_window(f: FpPoly, e: int, indices):
     if len(terms) > 3:
         raise ValueError("multinomial path supports at most 3 terms")
     inv_fact = ctx.inv_fact
-    # tables[i][k] = c_i^k / k!; a unit coefficient reuses inv_fact as is.
-    tables = []
-    for _, c in terms:
-        if c == 1:
-            tables.append(inv_fact)
-            continue
-        w, ck = [], 1
-        for k in range(e + 1):
-            w.append(ck * inv_fact[k] % p)
-            ck = ck * c % p
-        tables.append(w)
     fe = ctx.fact[e]
     g0 = terms[0][0]
+    cs = [c for _, c in terms]
+    unit = all(c == 1 for c in cs)
+
+    def lead(*ks):
+        """e! * prod c_t^{k_t} mod p, for f with a coefficient other than 1."""
+        return fe * prod(pow(c, k, p) for c, k in zip(cs, ks) if c != 1) % p
+
     if len(terms) == 1:
-        top = fe * tables[0][e] % p
+        top = pow(cs[0], e, p)
         return [top if n == e * g0 else 0 for n in indices]
     out = []
     if len(terms) == 2:
-        w0, w1 = tables
         d1 = terms[1][0] - g0
         for n in indices:
             k1, rem = divmod(n - e * g0, d1)
-            out.append(fe * w0[e - k1] * w1[k1] % p if not rem and 0 <= k1 <= e else 0)
+            if rem or not 0 <= k1 <= e:
+                out.append(0)
+                continue
+            out.append((fe if unit else lead(e - k1, k1)) * inv_fact[e - k1] * inv_fact[k1] % p)
         return out
-    w0, w1, w2 = tables
     d1, d2 = terms[1][0] - g0, terms[2][0] - g0
     g = gcd(d1, d2)
     s, t = d1 // g, d2 // g
     u = t - s
     t_inv = pow(t, -1, s)
+    rho = 1 if unit else pow(cs[0], u, p) * pow(cs[1], -t, p) * pow(cs[2], s, p) % p
+    rhos = [1]  # rho^j for j below the longest progression so far
     for n in indices:
         b, rem = divmod(n - e * g0, g)
         # k0 >= 0 bounds k2 below, k1 >= 0 bounds it above.
@@ -203,10 +231,15 @@ def _sparse_window(f: FpPoly, e: int, indices):
         k1 = (b - lo * t) // s
         k0 = e - k1 - lo
         count = (hi - lo) // s + 1
+        w2 = inv_fact[lo:hi + 1:s]
+        if rho != 1:
+            while len(rhos) < count:
+                step = pow(rho, len(rhos), p)
+                rhos += [x * step % p for x in rhos]
+            w2 = map(mul, w2, rhos)  # rho^j on the k2 side keeps each factor small
         # map stops at the k2 slice, so k1's may run on down to k1 = 0.
-        acc = sum(map(mul, map(mul, w0[k0:k0 + count * u:u], w1[k1::-t]),
-                      w2[lo:hi + 1:s]))
-        out.append(fe * acc % p)
+        acc = sum(map(mul, map(mul, inv_fact[k0:k0 + count * u:u], inv_fact[k1::-t]), w2))
+        out.append((fe if unit else lead(k0, k1, lo)) * acc % p)
     return out
 
 
@@ -257,7 +290,7 @@ def _frobenius_window(f: FpPoly, indices):
         return [t % p for t in y[:r]] + [0] * (r - len(y))
 
     def mulmod(y, z):
-        return reduced(_mul(FpPoly(ctx, y), FpPoly(ctx, z)).coeffs)
+        return reduced(_mul(y, z, p))
 
     powers = {0: reduced([1])}
 
@@ -283,7 +316,7 @@ def _frobenius_window(f: FpPoly, indices):
         b = xpow(m) if not val else mulmod(b, xpow(m - prev))
         prev = m
         top = r + length - 1
-        mid = _mul(FpPoly(ctx, b), FpPoly(ctx, a[top - 1::-1])).coeffs + [0] * top
+        mid = _mul(b, a[top - 1::-1], p)
         val.update(zip(range(m, m + length), reversed(mid[r - 1:top])))
     out = [0] * len(indices)
     for o, gk in offsets:
@@ -297,25 +330,35 @@ def _frobenius_cheaper(terms, p: int, indices) -> bool:
     indices.
 
     Both costs are in units of one multinomial term, with weights fitted on
-    measured per-call times of both paths (p from 211 to 176419, r up to 448,
-    M_d windows up to d = 64).  The sum pays 20 per index, p to build the
-    c^k / k! table of each non-unit c_t, and one per term.  The terms are
-    counted at the mean index N: k_2 spans [max(0, (N - e d_1)/(r - d_1)),
-    min(e, N/r)] in steps of d_1/gcd(d_1, r), and one index in gcd(d_1, r)
-    has terms at all (d_1 = g_1 - g_0, r = g_2 - g_0).  The Frobenius path pays
-    12 (r + 10) per product mod chi: about log2 p of them to reach the first
-    run, then a step and a middle product for each run of consecutive indices.
+    measured per-call times of both paths: p from 211 to 176419, r up to 256
+    and M_d windows up to d = 8 of x^r + x^k + 1, x^r + x^2 + x and
+    x^r + x + 2, and the 66 such windows ``verify3.verify_prime`` takes at 63
+    primes from 3 to 55441.  The sum pays 10 per index and 1 per term, or 1.5
+    when some c_t is not 1 (a term then also takes a power of rho).  Each run
+    of consecutive indices counts its n with g | n - e g_0 (notation of
+    ``_sparse_window``) times the terms of the progression at its middle,
+    from the bounds on k_2 that the sum uses; with 2 terms an index has at
+    most one.  The Frobenius path pays 4 (r + 10) per product mod chi: about
+    log2 p of them to reach the first run, then a step and a middle product
+    per run.
     """
     e = p - 1
     g0, r = terms[0][0], terms[-1][0] - terms[0][0]
-    per = 1
+    cuts = [i for i in range(1, len(indices)) if indices[i] != indices[i - 1] + 1]
+    sums = len(indices)
     if len(terms) == 3:
         d1 = terms[1][0] - g0
-        mean = sum(indices) / len(indices) - e * g0
-        per = max(0, min(e, mean / r) - max(0, (mean - e * d1) / (r - d1))) / d1
-    runs = 1 + sum(b != a + 1 for a, b in zip(indices, indices[1:]))
-    sparse = len(indices) * (20 + per) + p * sum(c != 1 for _, c in terms)
-    return 12 * (r + 10) * (p.bit_length() + 2 * runs) < sparse
+        g = gcd(d1, r)
+        s, t = d1 // g, r // g
+        sums = 0
+        for i, j in zip([0] + cuts, cuts + [len(indices)]):
+            n0, n1 = indices[i] - e * g0, indices[j - 1] - e * g0
+            b = (n0 + n1) // 2 // g
+            lo, hi = max(0, -((e * s - b) // (t - s))), min(e, b // t)
+            sums += (n1 // g - (n0 - 1) // g) * max(0, (hi - lo) // s + 1)
+    if any(c != 1 for _, c in terms):
+        sums *= 1.5
+    return 4 * (r + 10) * (p.bit_length() + 2 * len(cuts) + 2) < 10 * len(indices) + sums
 
 
 def coeff_window(f: FpPoly, e: int, indices):

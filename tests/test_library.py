@@ -1,7 +1,10 @@
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -90,3 +93,21 @@ def test_every_library_definition_is_referenced():
     unreferenced = [f"{path.name}:{stmt.lineno} {stmt.name}" for path, stmt, own in defs
                     if refs[stmt.name] == (stmt.name in own)]
     assert unreferenced == []
+
+
+def test_library_imports_with_stdlib_only():
+    # pyproject.toml declares no dependencies.  python -S leaves site-packages
+    # off sys.path, so a module that needs any installed package (numpy, say)
+    # fails to import here.
+    assert re.search(r"^dependencies = \[\]$", (ROOT / "pyproject.toml").read_text(), re.M)
+    modules = sorted(f"discdet.{path.stem}" for path in SRC.glob("*.py") if path.stem != "__init__")
+    assert modules
+    code = ("import importlib, sys\n"
+            f"sys.path.insert(0, {str(SRC.parent)!r})\n"
+            "assert not any('-packages' in entry for entry in sys.path), sys.path\n"
+            f"for name in {modules!r}:\n"
+            "    importlib.import_module(name)\n"
+            "print('ok')\n")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=60, env={"PATH": os.environ.get("PATH", "")})
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")

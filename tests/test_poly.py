@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +12,7 @@ from discdet.poly import (
     XR_MINUS_X_MINUS_1,
     FpPoly,
     _frobenius_window,
+    _mul,
     _sparse_window,
     coeff_window,
     discriminant,
@@ -79,6 +81,48 @@ def test_mul_kronecker_agrees_with_schoolbook():
     assert (f * f).coeffs == schoolbook(f, f)  # both operands one object
 
 
+def test_mul_slot_widths():
+    # _mul returns exact, unreduced products.  With every coefficient p-1, its
+    # largest entry is the slot bound min(la, lb) (p-1)^2 itself: with
+    # (p-1)^2 = 2^(bits-8), n = 255 fills a slot of 8, 16, 32 or 64 bits and
+    # n = 256 needs the next width; past 64 bits a slot takes 2 or 3 words.
+    # p only needs to bound the entries, so no PrimeCtx is built.
+    def top(n, m, p):
+        return [(p - 1) ** 2 * min(k + 1, n, m, n + m - 1 - k) for k in range(n + m - 1)]
+
+    for bits in (8, 16, 32, 64, 128):
+        p = 2 ** ((bits - 8) // 2) + 1
+        for n in (255, 256):
+            assert (n * (p - 1) ** 2).bit_length() == bits + (n > 255)
+            x = [p - 1] * n
+            assert _mul(x, [p - 1] * (n + 3), p) == top(n, n + 3, p)
+            assert _mul([p - 1] * (n + 3), x, p) == top(n + 3, n, p)
+            assert _mul(x, x, p) == top(n, n, p)
+
+    def schoolbook(x, y):
+        out = [0] * (len(x) + len(y) - 1)
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                out[i + j] += a * b
+        return out
+
+    rng = random.Random(11)
+    for p in (2, 251, 65521, 4294967291, 2**61 - 1):
+        for n, m in ((1, 1), (1, 9), (9, 1), (5, 40), (33, 33)):
+            x = [rng.randrange(p) for _ in range(n)]
+            y = [rng.randrange(p) for _ in range(m)]
+            assert _mul(x, y, p) == schoolbook(x, y)
+            assert _mul(x, x, p) == schoolbook(x, x)  # one list, packed once
+            assert _mul(x, [], p) == _mul([], y, p) == []
+    # the FpPoly product reduces and strips; its context only needs p
+    ctx = SimpleNamespace(p=2**61 - 1)
+    f = FpPoly(ctx, [ctx.p - 1, 0, 3, ctx.p - 1])
+    g = FpPoly(ctx, [ctx.p - 1, 1])
+    assert (f * g).coeffs == [1, ctx.p - 1, ctx.p - 3, 4, ctx.p - 1]
+    assert (f * f).coeffs == [1, 0, ctx.p - 6, 2, 9, ctx.p - 6, 1]
+    assert (f * FpPoly(ctx, [])).is_zero()
+
+
 def test_divmod_roundtrip():
     rng = random.Random(1)
     ctx = prime_ctx(13)
@@ -140,6 +184,20 @@ def test_coeff_window_strategies_agree(case):
     assert m_matrix(f, e, d).data == window
 
 
+def test_sparse_window_non_unit_coefficient_pinned():
+    # M_3((x^96 + x + b)^150000) at p = 176419, recorded when each non-unit
+    # coefficient still had its full c^k / k! table; M_1 is its third entry
+    ctx = prime_ctx(176419)
+    pinned = {
+        2: [112249, 148842, 43221, 73264, 157083, 37028, 141510, 37954, 157910],
+        3: [154639, 56118, 4632, 66393, 170629, 89232, 111418, 17154, 88352],
+    }
+    for b, window in pinned.items():
+        f = monomial_sum(ctx, [(96, 1), (1, 1), (0, b)])
+        assert m_matrix(f, 150000, 3).data == window
+        assert m_matrix(f, 150000, 1).data == [window[2]]
+
+
 def test_frobenius_window_matches_sum_and_dense():
     # [x^n] f^(p-1) read from 1/g equals the multinomial sum (up to 3 terms)
     # or the dense power (4 or more), on the stage polynomials, random
@@ -179,12 +237,25 @@ def test_frobenius_window_matches_sum_and_dense():
             assert [_frobenius_window(f, w) for w in windows] == want, f
             checked += 1
     assert checked > 300
+    # above 2^16, (p-1)^2 > 2^32, so every product mod chi and every middle
+    # product runs on 8-byte slots: the stage shapes for a few r | p-1
+    p = 176419  # p - 1 = 2 3^6 11^2
+    ctx = prime_ctx(p)
+    for r in (2, 6, 11, 27):
+        fs = [monomial_sum(ctx, [(r, 1), (k, 1), (0, 1)]) for k in range(1, r)]
+        fs += [monomial_sum(ctx, [(r, 1), (k, 1), (1, 1)]) for k in range(2, r)]
+        fs += [monomial_sum(ctx, [(r, 1), (1, 1), (0, b)]) for b in (2, 3)]
+        for f in fs:
+            for d in (1, 2, 3):
+                w = [i * p + j - d - 1 for i in range(1, d + 1) for j in range(1, d + 1)]
+                assert _frobenius_window(f, w) == _sparse_window(f, p - 1, w), (f, d)
 
 
 def test_coeff_window_routes_on_cost(monkeypatch):
     # 30241 = 2^5 3^3 5 7 + 1: M_8((x^15+x+1)^30240) reads 1/g, and the sum
-    # must not run; at r = 448 and d = 1 the sum is cheaper than the
-    # log p products of degree 448 that reading 1/g would take
+    # must not run (nor for the M_1 window at 55441 below); at r = 448 and
+    # d = 1 the sum is cheaper than the log p products of degree 448 that
+    # reading 1/g would take
     def refuse(*args):
         raise AssertionError("this path should not be taken")
 
@@ -201,6 +272,10 @@ def test_coeff_window_routes_on_cost(monkeypatch):
         17161, 19384, 11580, 20286, 14780, 29710, 3480, 13854,
         28180, 10636, 15691, 19734, 13236, 27435, 23493, 18146,
     ]
+    # M_1((x^12+x+1)^55440) at 55441: one index with 4621 terms, against
+    # log2 p + 2 products of degree 12
+    ctx = prime_ctx(55441)
+    assert m_matrix(monomial_sum(ctx, [(12, 1), (1, 1), (0, 1)]), 55440, 1).data == [50657]
     monkeypatch.undo()
     monkeypatch.setattr(poly, "_frobenius_window", refuse)
     ctx = prime_ctx(20161)
