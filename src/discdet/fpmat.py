@@ -99,60 +99,77 @@ class FpMatrix:
         return f"FpMatrix(p={self.ctx.p}, {self.to_rows()})"
 
 
+def _eliminate(rows, p, swap):
+    """Forward elimination over F_p: a (pivot, tail, swapped) step per column.
+
+    tail is the rest of the pivot row divided by the pivot, and swapped says
+    whether a row swap brought that row up; the steps end at the first zero
+    pivot.  Without ``swap`` the pivots' prefix products are the leading
+    principal minors.  Only the pivot row is reduced mod p: after k steps an
+    entry is below (k + 1) * p^2.  ``rows`` may be reordered, not changed.
+    """
+    steps = []
+    a = rows
+    while a:
+        head = a[0][0] % p
+        i = 0
+        if swap and not head:
+            i = next((i for i, row in enumerate(a) if row[0] % p), 0)
+            a[0], a[i] = a[i], a[0]
+            head = a[0][0] % p
+        if not head:
+            return steps + [(0, None, False)]
+        inv = pow(head, p - 2, p)
+        tail = [y * inv % p for y in a[0][1:]]
+        steps.append((head, tail, i > 0))
+        # In place on copied rows: on CPython 3.11 this beats a comprehension per row.
+        nxt = []
+        for row in a[1:]:
+            c = -row[0] % p
+            row = row[1:]
+            if c:
+                for j, y in enumerate(tail):
+                    row[j] += c * y
+            nxt.append(row)
+        a = nxt
+    return steps
+
+
 def det(M: FpMatrix) -> int:
-    """Determinant by Gaussian elimination, first nonzero pivot in column order."""
+    """Determinant by elimination, first nonzero pivot in column order."""
     if M.rows != M.cols:
         raise ValueError("det needs a square matrix")
-    n = M.rows
-    if n == 0:
-        return 1
     p = M.ctx.p
-    a = [M.row(i) for i in range(n)]
-    sign = 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        inv = pow(a[col][col], p - 2, p)
-        arow = a[col]
-        for i in range(col + 1, n):
-            f = a[i][col]
-            if f:
-                f = f * inv % p
-                ai = a[i]
-                for j in range(col, n):
-                    ai[j] = (ai[j] - f * arow[j]) % p
-    out = sign
-    for i in range(n):
-        out = out * a[i][i] % p
-    return out % p
+    out = 1
+    for pivot, _, swapped in _eliminate(M.to_rows(), p, True):
+        out = (-out if swapped else out) * pivot % p
+    return out
 
 
 def inverse(M: FpMatrix) -> FpMatrix:
-    """Gauss-Jordan inverse; raises Singular when det = 0."""
+    """Elimination on [M | I], then back substitution; raises Singular when det = 0."""
     if M.rows != M.cols:
         raise ValueError("inverse needs a square matrix")
     n = M.rows
     p = M.ctx.p
-    a = [M.row(i) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
-        if piv is None:
+    rows = [M.row(i) + [0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+    kept = []
+    for pivot, tail, _ in _eliminate(rows, p, True):
+        if not pivot:
             raise Singular("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = pow(a[col][col], p - 2, p)
-        a[col] = [v * inv % p for v in a[col]]
-        arow = a[col]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                ai = a[i]
-                for j in range(col, 2 * n):
-                    ai[j] = (ai[j] - f * arow[j]) % p
-    return FpMatrix(M.ctx, n, n, [a[i][n + j] for i in range(n) for j in range(n)])
+        kept.append(tail)
+    # Row k of the inverse is the right half of pivot row k, less the entries
+    # of that row right of the diagonal times the rows of the inverse below k.
+    below = []
+    for tail in reversed(kept):
+        m = len(tail) - n
+        acc = tail[m:]
+        for u, x in zip(tail, below):
+            if u:
+                for j, b in enumerate(x):
+                    acc[j] -= u * b
+        below.insert(0, [a % p for a in acc])
+    return FpMatrix(M.ctx, n, n, [a for row in below for a in row])
 
 
 def m_matrix(f: FpPoly, e: int, d: int) -> FpMatrix:
@@ -185,22 +202,8 @@ def m_dets(f: FpPoly, e: int, ds):
     window = coeff_window(f, e, [i * p - j for i in range(1, top + 1) for j in range(1, top + 1)])
     rows = [window[i * top:(i + 1) * top] for i in range(top)]
     minors = [1]  # minors[k]: the k-th leading minor, while the pivots are nonzero
-    # Only the pivot row is reduced mod p: after k steps an entry is below
-    # (k + 1) * p^2, which is small enough to skip a reduction per entry.
-    a = rows
-    while len(minors) <= top:
-        head = a[0][0] % p
-        if not head:
-            minors.append(0)
-            break
-        minors.append(minors[-1] * head % p)
-        neg_inv = p - pow(head, p - 2, p)
-        tail = [y % p for y in a[0][1:]]
-        nxt = []
-        for row in a[1:]:
-            c = row[0] * neg_inv % p
-            nxt.append([x + c * y for x, y in zip(row[1:], tail)] if c else row[1:])
-        a = nxt
+    for pivot, _, _ in _eliminate(rows, p, False):
+        minors.append(minors[-1] * pivot % p)
     out = []
     for d in ds:
         if d < len(minors):

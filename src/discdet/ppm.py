@@ -113,68 +113,53 @@ def j_ppm(h: int, k: int, d: int) -> Ppm:
     return Ppm(h, k, range(d, 0, -1))
 
 
-def _block_diag(h, k, blocks) -> Ppm:
+def _block_diag(blocks):
+    """The image sequence of the block-diagonal sum of ``blocks``."""
     sigma = []
     off = 0
     for b in blocks:
         sigma.extend(off + s for s in b.sigma)
         off += b.d
-    return Ppm(h, k, sigma)
+    return sigma
 
 
-def _block_antidiag(h, k, blocks) -> Ppm:
-    """Blocks listed top-to-bottom; block t sits in the columns just left of
-    block t-1, so the last block ends at column 1."""
-    d = sum(b.d for b in blocks)
-    sigma = []
-    right = d
-    for b in blocks:
-        sigma.extend(right - b.d + s for s in b.sigma)
-        right -= b.d
-    return Ppm(h, k, sigma)
+def _block_diag_family(h, k, d):
+    """The block lists of the block-diagonal PPMs of type (h, k) and size d."""
+    q, rem = divmod(d, h + k)
+    if h >= 2 and k >= 2:
+        if rem == 1:
+            yield [a_matrix(h, k, 1)] * q + [identity_ppm(h, k, 1)]
+        elif rem == h + k - 1:
+            yield [a_matrix(h, k, k)] * q + [k_matrix(h, k)]
+        elif rem == 0:
+            for m in range(1, k + 1):
+                yield [a_matrix(h, k, m)] * q
+    elif h == 1:
+        if rem == 0:
+            for m in range(1, k + 1):
+                yield [a_matrix(h, k, m)] * q
+        else:
+            yield [a_matrix(h, k, rem)] * q + [j_ppm(h, k, rem)]
+    elif rem == 0:  # k == 1
+        yield [a_matrix(h, k, 1)] * q
+    else:
+        yield [a_matrix(h, k, 1)] * q + [identity_ppm(h, k, rem)]
 
 
 def enumerate(h: int, k: int, d: int):
-    """All PPMs of type (h, k) of size d, by the classification patterns."""
+    """All PPMs of type (h, k) of size d, by the classification patterns.
+
+    These are the block-diagonal ones of type (h, k) and the block-anti-
+    diagonal ones.  Reversing the columns (sigma -> d + 1 - sigma) turns a
+    type-(k, h) PPM into a type-(h, k) one and A_m(k, h) into B_m(h, k), so
+    the block-anti-diagonal ones are the block-diagonal ones of type (k, h)
+    with their columns reversed.
+    """
     if h < 1 or k < 1 or gcd(h, k) != 1 or d < 1:
         raise ValueError("need h, k >= 1 coprime and d >= 1")
-    s = h + k
-    out = set()
-
-    def add(candidate: Ppm):
-        out.add(validate(h, k, d, candidate.sigma))
-
-    q, rem = divmod(d, s)
-    if h >= 2 and k >= 2:
-        if rem == 1:
-            add(_block_diag(h, k, [a_matrix(h, k, 1)] * q + [identity_ppm(h, k, 1)]))
-            add(_block_antidiag(h, k, [b_matrix(h, k, 1)] * q + [identity_ppm(h, k, 1)]))
-        elif rem == s - 1:
-            add(_block_diag(h, k, [a_matrix(h, k, k)] * q + [k_matrix(h, k)]))
-            add(_block_antidiag(h, k, [b_matrix(h, k, h)] * q + [k_matrix(h, k)]))
-        elif rem == 0 and q >= 1:
-            for m in range(1, k + 1):
-                add(_block_diag(h, k, [a_matrix(h, k, m)] * q))
-            for m in range(1, h + 1):
-                add(_block_antidiag(h, k, [b_matrix(h, k, m)] * q))
-    elif h == 1:
-        if rem == 0 and q >= 1:
-            for m in range(1, k + 1):
-                add(_block_diag(h, k, [a_matrix(h, k, m)] * q))
-            add(_block_antidiag(h, k, [b_matrix(h, k, 1)] * q))
-        else:
-            m = rem
-            add(_block_diag(h, k, [a_matrix(h, k, m)] * q + [j_ppm(h, k, m)]))
-            add(_block_antidiag(h, k, [b_matrix(h, k, 1)] * q + [j_ppm(h, k, m)]))
-    else:  # k == 1
-        if rem == 0 and q >= 1:
-            add(_block_diag(h, k, [a_matrix(h, k, 1)] * q))
-            for m in range(1, h + 1):
-                add(_block_antidiag(h, k, [b_matrix(h, k, m)] * q))
-        else:
-            m = rem
-            add(_block_diag(h, k, [a_matrix(h, k, 1)] * q + [identity_ppm(h, k, m)]))
-            add(_block_antidiag(h, k, [b_matrix(h, k, m)] * q + [identity_ppm(h, k, m)]))
+    out = {validate(h, k, d, _block_diag(blocks)) for blocks in _block_diag_family(h, k, d)}
+    for blocks in _block_diag_family(k, h, d):
+        out.add(validate(h, k, d, [d + 1 - s for s in _block_diag(blocks)]))
     return sorted(out, key=lambda M: M.sigma)
 
 

@@ -42,9 +42,9 @@ def det_leibniz(M):
 
 def test_det_matches_leibniz():
     rng = random.Random(0)
-    for p in (2, 5, 13):
+    for p in (2, 3, 5, 13):
         ctx = prime_ctx(p)
-        for n in range(5):
+        for n in range(7):
             for _ in range(20):
                 M = rand_matrix(ctx, n, rng)
                 assert det(M) == det_leibniz(M)
@@ -55,17 +55,23 @@ def test_det_empty_matrix_is_one():
 
 
 def test_inverse_roundtrip():
+    # small p makes zero leading entries common, so the row swaps are exercised
     rng = random.Random(1)
-    ctx = prime_ctx(31)
-    done = 0
-    while done < 25:
-        M = rand_matrix(ctx, 4, rng)
-        if det(M) == 0:
-            with pytest.raises(Singular):
-                inverse(M)
-            continue
-        assert inverse(M) @ M == FpMatrix.identity(ctx, 4)
-        done += 1
+    swapped = 0
+    for p in (2, 3, 31):
+        ctx = prime_ctx(p)
+        for n in range(7):
+            eye = FpMatrix.identity(ctx, n)
+            for _ in range(12):
+                M = rand_matrix(ctx, n, rng)
+                if det_leibniz(M) == 0:
+                    with pytest.raises(Singular):
+                        inverse(M)
+                    continue
+                Minv = inverse(M)
+                assert Minv @ M == eye and M @ Minv == eye, (p, M)
+                swapped += n > 0 and M[0, 0] == 0
+    assert swapped >= 10
 
 
 def test_matmul_hstack_submatrix():
@@ -133,8 +139,11 @@ def trinomial_dets_cases(draw):
 @settings(deadline=None, max_examples=150)
 @given(trinomial_dets_cases())
 def test_m_dets_matches_det_of_each_m_matrix(case):
+    # det and m_dets share one elimination; the Leibniz oracle does not
     f, e, ds = case
-    assert m_dets(f, e, ds) == [det(m_matrix(f, e, d)) for d in ds]
+    want = [det(m_matrix(f, e, d)) for d in ds]
+    assert m_dets(f, e, ds) == want
+    assert all(det_leibniz(m_matrix(f, e, d)) == w for d, w in zip(ds, want) if d <= 6)
 
 
 def test_m_dets_reads_a_zero_pivot_and_falls_back_past_it(monkeypatch):

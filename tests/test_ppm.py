@@ -34,11 +34,12 @@ def test_k_matrix_is_truncated_a_k():
 
 
 def test_enumerate_matches_bruteforce_small():
-    for h in range(1, 6):
-        for k in range(1, 6):
+    # up to the oracle's limit d <= 24: q >= 2 blocks of every mirrored shape
+    for h in range(1, 8):
+        for k in range(1, 8):
             if gcd(h, k) != 1:
                 continue
-            for d in range(1, 13):
+            for d in range(1, 25):
                 fast = ppm.enumerate(h, k, d)
                 slow = ppm.enumerate_bruteforce(h, k, d)
                 assert fast == slow, (h, k, d)
