@@ -3,7 +3,7 @@
 from operator import mul
 
 from .ff import PrimeCtx
-from .poly import FpPoly, coeff_window
+from .poly import FpPoly, _pack, _slot, _unpack, coeff_window
 
 
 class Singular(ArithmeticError):
@@ -60,11 +60,17 @@ class FpMatrix:
         return hash((self.ctx.p, self.rows, self.cols, tuple(self.data)))
 
     def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
+        """Each row of ``other`` packed into one integer, a slot per entry
+        (Kronecker substitution, as in ``poly._mul``), so row i of the product
+        is one dot product of row i with the packed rows."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         m = other.cols
-        columns = [other.data[j::m] for j in range(m)]
-        out = [sum(map(mul, row, col)) for row in self.to_rows() for col in columns]
+        slot = _slot(self.cols * (self.ctx.p - 1) ** 2)
+        packed = [_pack(row, slot) for row in other.to_rows()]
+        out = []
+        for row in self.to_rows():
+            out += _unpack(sum(map(mul, row, packed)), m, slot)
         return FpMatrix(self.ctx, self.rows, m, out)
 
     def __sub__(self, other: "FpMatrix") -> "FpMatrix":
@@ -84,6 +90,10 @@ class FpMatrix:
         """diag(cs) @ self: row i times cs[i]."""
         m = self.cols
         return FpMatrix(self.ctx, self.rows, m, [cs[k // m] * a for k, a in enumerate(self.data)])
+
+    def transpose(self) -> "FpMatrix":
+        m = self.cols
+        return FpMatrix(self.ctx, m, self.rows, [a for j in range(m) for a in self.data[j::m]])
 
     def hstack(self, other: "FpMatrix") -> "FpMatrix":
         if self.rows != other.rows:
@@ -146,30 +156,34 @@ def det(M: FpMatrix) -> int:
     return out
 
 
-def inverse(M: FpMatrix) -> FpMatrix:
-    """Elimination on [M | I], then back substitution; raises Singular when det = 0."""
-    if M.rows != M.cols:
-        raise ValueError("inverse needs a square matrix")
-    n = M.rows
-    p = M.ctx.p
-    rows = [M.row(i) + [0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+def solve(M: FpMatrix, B: FpMatrix) -> FpMatrix:
+    """M^{-1} B: elimination on [M | B], then back substitution; raises
+    Singular when det M = 0."""
+    if M.rows != M.cols or B.rows != M.rows:
+        raise ValueError("solve needs a square M with as many rows as B")
+    n, q, p = M.rows, B.cols, M.ctx.p
     kept = []
-    for pivot, tail, _ in _eliminate(rows, p, True):
+    for pivot, tail, _ in _eliminate([M.row(i) + B.row(i) for i in range(n)], p, True):
         if not pivot:
             raise Singular("matrix is singular")
         kept.append(tail)
-    # Row k of the inverse is the right half of pivot row k, less the entries
-    # of that row right of the diagonal times the rows of the inverse below k.
+    # Row k of the solution is the right part of pivot row k, less the entries
+    # of that row right of the diagonal times the rows of the solution below k.
     below = []
     for tail in reversed(kept):
-        m = len(tail) - n
+        m = len(tail) - q
         acc = tail[m:]
         for u, x in zip(tail, below):
             if u:
                 for j, b in enumerate(x):
                     acc[j] -= u * b
         below.insert(0, [a % p for a in acc])
-    return FpMatrix(M.ctx, n, n, [a for row in below for a in row])
+    return FpMatrix(M.ctx, n, q, [a for row in below for a in row])
+
+
+def inverse(M: FpMatrix) -> FpMatrix:
+    """solve(M, I); raises Singular when det = 0."""
+    return solve(M, FpMatrix.identity(M.ctx, M.rows))
 
 
 def m_matrix(f: FpPoly, e: int, d: int) -> FpMatrix:

@@ -96,39 +96,56 @@ def monomial_sum(ctx: PrimeCtx, terms) -> FpPoly:
     return FpPoly(ctx, out)
 
 
+def _slot(bound: int):
+    """(width, code, k): slots of k words of ``array`` type ``code`` (width
+    bits each) that hold every integer in [0, bound].  The word is the
+    narrowest of B, H, I and Q that does; past 64 bits a slot takes as many
+    8-byte words as it needs."""
+    bits = max(bound.bit_length(), 1)
+    for width, code in _WORDS:
+        if bits <= width:
+            break
+    return width, code, -(-bits // width)
+
+
+def _pack(z, slot) -> int:
+    """The entries of z (each below 2^width), one per slot, as one integer;
+    past 64 bits each entry sits in the low word of its slot."""
+    width, code, k = slot
+    words = array(code, z)
+    if k > 1:
+        words, low = array(code, bytes(len(z) * k * width >> 3)), words
+        words[::k] = low
+    return int.from_bytes(words, "little")
+
+
+def _unpack(v: int, count: int, slot) -> list:
+    """The first ``count`` slots of v, as a list; the inverse of _pack."""
+    width, code, k = slot
+    words = array(code, v.to_bytes(count * k * width >> 3, "little"))
+    out = words[::k].tolist()
+    for j in range(1, k):
+        out = [a | b << width * j for a, b in zip(out, words[j::k])]
+    return out
+
+
 def _mul(x, y, p: int):
     """Exact product of two coefficient lists with entries in [0, p), as a
     list of unreduced integers (no trailing zeros are stripped).
 
     Kronecker substitution (Harvey 2009): each operand is packed into one
     integer, one slot per coefficient, so CPython's subquadratic integer
-    multiply does the work.  A slot holds min(la, lb) (p-1)^2; it is the
-    narrowest machine word of ``array`` that does (B, H, I or Q, by itemsize),
-    so packing and unpacking are one ``array`` conversion each, with no loop
-    per slot.  Past 64 bits a slot takes as many 8-byte words as it needs,
-    each coefficient in the low word, and the words are joined back by
-    shifts.  One list given as both operands is packed once and squared.
+    multiply does the work.  A slot holds min(la, lb) (p-1)^2 (``_slot``),
+    so packing (``_pack``) and unpacking (``_unpack``) are one ``array``
+    conversion each, with no loop per slot.  One list given as both operands
+    is packed once and squared.
     """
     if not x or not y:
         return []
-    bits = (min(len(x), len(y)) * (p - 1) ** 2).bit_length()
-    for width, code in _WORDS:
-        if bits <= width:
-            break
-    k = -(-bits // width)  # words per slot
-    packed = []
-    for z in (x,) if y is x else (x, y):
-        words = array(code, z)
-        if k > 1:
-            words, low = array(code, bytes(len(z) * k * width >> 3)), words
-            words[::k] = low
-        packed.append(int.from_bytes(words, "little"))
-    size = (len(x) + len(y) - 1) * k * width >> 3
-    words = array(code, (packed[0] * packed[-1]).to_bytes(size, "little"))
-    out = words[::k].tolist()
-    for j in range(1, k):
-        out = [v | w << width * j for v, w in zip(out, words[j::k])]
-    return out
+    slot = _slot(min(len(x), len(y)) * (p - 1) ** 2)
+    a = _pack(x, slot)
+    b = a if y is x else _pack(y, slot)
+    return _unpack(a * b, len(x) + len(y) - 1, slot)
 
 
 def divmod_poly(a: FpPoly, b: FpPoly):

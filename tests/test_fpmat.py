@@ -1,17 +1,22 @@
 import random
-from itertools import permutations
+from itertools import permutations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import discdet.fpmat as fpmat_mod
 from discdet.ff import prime_ctx
-from discdet.fpmat import FpMatrix, Singular, det, inverse, m_dets, m_matrix
-from discdet.poly import FpPoly, monomial_sum, poly_pow
+from discdet.fpmat import FpMatrix, Singular, det, inverse, m_dets, m_matrix, solve
+from discdet.poly import FpPoly, _slot, monomial_sum, poly_pow
+
+
+def rand_rect(ctx, n, m, rng):
+    return FpMatrix(ctx, n, m, [rng.randrange(ctx.p) for _ in range(n * m)])
 
 
 def rand_matrix(ctx, n, rng):
-    return FpMatrix(ctx, n, n, [rng.randrange(ctx.p) for _ in range(n * n)])
+    return rand_rect(ctx, n, n, rng)
 
 
 def det_leibniz(M):
@@ -81,6 +86,77 @@ def test_matmul_hstack_submatrix():
     assert (A @ B).to_rows() == [[4, 5], [3, 4]]
     assert A.hstack(A).rows == 2 and A.hstack(A).cols == 6
     assert A.submatrix(0, 2, 1, 3).to_rows() == [[2, 3], [5, 6]]
+    assert A.transpose().to_rows() == [[1, 4], [2, 5], [3, 6]]
+    assert A.transpose().transpose() == A
+
+
+def matmul_loops(A, B):
+    """Triple-loop oracle for A @ B, as rows."""
+    p = A.ctx.p
+    return [[sum(A[i, k] * B[k, j] for k in range(A.cols)) % p for j in range(B.cols)]
+            for i in range(A.rows)]
+
+
+def test_packed_matmul_matches_triple_loop_on_rectangular_shapes():
+    rng = random.Random(3)
+    for p in (2, 3, 31, 251):
+        ctx = prime_ctx(p)
+        shapes = [*product(range(4), repeat=3), (5, 7, 3), (1, 9, 6), (8, 2, 8)]
+        for n, m, q in shapes:
+            A, B = rand_rect(ctx, n, m, rng), rand_rect(ctx, m, q, rng)
+            C = A @ B
+            assert (C.rows, C.cols) == (n, q)
+            assert C.to_rows() == matmul_loops(A, B), (p, n, m, q)
+
+
+def test_packed_matmul_slots_at_their_bound():
+    # Entries at p - 1 fill each slot to its bound m (p-1)^2.  FpMatrix reads
+    # only ctx.p, so a stub context reaches every word: B, H, I and Q, and
+    # slots of two and three 8-byte words.
+    seen = set()
+    for p, m in ((5, 3), (31, 10), (251, 4), (65521, 6), (2**61 - 1, 3), (2**61 - 1, 100)):
+        ctx = SimpleNamespace(p=p)
+        width, _, k = _slot(m * (p - 1) ** 2)
+        seen.add((width, k))
+        rng = random.Random(p)
+        full = FpMatrix(ctx, 2, m, [p - 1] * (2 * m)) @ FpMatrix(ctx, m, 3, [p - 1] * (3 * m))
+        assert full.data == [m * (p - 1) ** 2 % p] * 6
+        A, B = rand_rect(ctx, 4, m, rng), rand_rect(ctx, m, 5, rng)
+        B.data[:5] = [p - 1] * 5
+        A.data[::m] = [p - 1] * 4
+        assert (A @ B).to_rows() == matmul_loops(A, B), (p, m)
+    assert seen == {(8, 1), (16, 1), (32, 1), (64, 1), (64, 2), (64, 3)}
+
+
+def test_solve_matches_inverse_and_raises_exactly_when_singular():
+    # solve(M, B) = M^{-1} B, and B M^{-1} as the solve on the transposes;
+    # both raise Singular exactly when det M = 0
+    rng = random.Random(6)
+    singular = 0
+    for p in (2, 3, 31):
+        ctx = prime_ctx(p)
+        for n in range(7):
+            for q in (0, 1, n, n + 2):
+                for _ in range(4):
+                    M = rand_matrix(ctx, n, rng)
+                    B, C = rand_rect(ctx, n, q, rng), rand_rect(ctx, q, n, rng)
+                    if det_leibniz(M) == 0:
+                        singular += 1
+                        with pytest.raises(Singular):
+                            solve(M, B)
+                        with pytest.raises(Singular):
+                            solve(M.transpose(), C.transpose())
+                        continue
+                    X = solve(M, B)
+                    assert X == inverse(M) @ B and M @ X == B, (p, M, B)
+                    Y = solve(M.transpose(), C.transpose()).transpose()
+                    assert Y == C @ inverse(M) and Y @ M == C, (p, M, C)
+    assert singular >= 20
+    ctx = prime_ctx(5)
+    with pytest.raises(ValueError):
+        solve(rand_rect(ctx, 2, 3, rng), rand_rect(ctx, 2, 2, rng))
+    with pytest.raises(ValueError):
+        solve(rand_matrix(ctx, 2, rng), rand_rect(ctx, 3, 2, rng))
 
 
 def test_m_matrix_entries_against_dense_power():

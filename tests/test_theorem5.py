@@ -1,5 +1,8 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -123,9 +126,11 @@ def test_check_aux_lemmas_pinned_cases():
 
 def test_spec_derives_its_matrices_once(monkeypatch):
     # random_spec and both checks share one expansion of f^e (L, with M_d(f^e)
-    # as its last d columns), one M_d(f^{e+1}) and one inversion of M_d(f^e).
-    built, powered, inverted = [], [], []
-    real_m, real_pow, real_inverse = theorem5.m_matrix, theorem5.poly_pow, theorem5.inverse
+    # as its last d columns), one M_d(f^{e+1}) and one solve against M_d(f^e),
+    # and no inverse of it.
+    built, powered, solved, inverted = [], [], [], []
+    real_m, real_pow = theorem5.m_matrix, theorem5.poly_pow
+    real_solve, real_inverse = theorem5.solve, theorem5.inverse
 
     def counting_m(f, e, d):
         built.append((f, e, d))
@@ -135,19 +140,25 @@ def test_spec_derives_its_matrices_once(monkeypatch):
         powered.append((f, e))
         return real_pow(f, e)
 
+    def counting_solve(M, B):
+        solved.append(M)
+        return real_solve(M, B)
+
     def counting_inverse(M):
         inverted.append(M)
         return real_inverse(M)
 
     monkeypatch.setattr(theorem5, "m_matrix", counting_m)
     monkeypatch.setattr(theorem5, "poly_pow", counting_pow)
+    monkeypatch.setattr(theorem5, "solve", counting_solve)
     monkeypatch.setattr(theorem5, "inverse", counting_inverse)
     spec = random_spec(prime_ctx(13), 4, 10, random.Random(2))
     assert check_theorem5(spec)["holds"]
     assert check_aux_lemmas(spec)["holds"]
     assert [(e, d) for f, e, d in built if f == spec.f] == [(11, 3)]
     assert [e for f, e in powered if f == spec.f] == [10]
-    assert sum(M == spec.Me for M in inverted) == 1
+    assert sum(M == spec.Me for M in solved) == 1
+    assert not any(M == spec.Me for M in inverted)
 
 
 def test_beta_rows_taken_once_per_lambda(monkeypatch):
@@ -310,3 +321,29 @@ def test_full_sweep_p_le_13():
                 spec = random_spec(ctx, r, e, rng)
                 assert check_theorem5(spec)["holds"], (p, r, e)
                 assert check_aux_lemmas(spec)["holds"], (p, r, e)
+
+
+def theorem5_digests():
+    """sha256 per admissible (p, r, e), p <= 23, of f, the quotient, the
+    right side B Q Z P, every check_aux_lemmas value and claimed_r1_inverse."""
+    rng = random.Random(5)
+    out = {}
+    for p in (5, 7, 11, 13, 17, 19, 23):
+        for r, e in admissible_pairs(prime_ctx(p)):
+            spec = random_spec(prime_ctx(p), r, e, rng)
+            main = check_theorem5(spec)
+            aux = check_aux_lemmas(spec)
+            assert main["holds"] and aux["holds"], (p, r, e)
+            parts = (spec.f.coeffs, spec.quotient.data, main["rhs"].data,
+                     sorted(aux.items()), theorem5.claimed_r1_inverse(spec).data)
+            out[f"{p} {r} {e}"] = hashlib.sha256(repr(parts).encode()).hexdigest()
+    return out
+
+
+def test_theorem5_outputs_pinned():
+    # Recorded before the products were packed and the inverses became
+    # solves; "holds" compares two sides that share the same products, so
+    # only the digests see a fault that hits both alike.
+    path = Path(__file__).resolve().parent / "data" / "theorem5_sha256.json"
+    with open(path) as fh:
+        assert theorem5_digests() == json.load(fh)
