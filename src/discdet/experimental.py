@@ -122,9 +122,9 @@ def det_poly_in_s0(ctx: PrimeCtx, r: int, e: int, d: int, tail) -> MultiPoly:
         raise ValueError(f"tail must have length {r}")
     if d == 0:
         return MultiPoly.constant(ctx, 1, 1)
-    ascending = [MultiPoly.constant(ctx, 1, tail[r - 1 - i]) for i in range(r)]
-    ascending.append(MultiPoly.variable(ctx, 1, 0))
-    return det_bareiss(m_entries(ascending, e, d))
+    terms = {(0, r - i): s for i, s in enumerate(tail, 1)}  # f in (s0, x)
+    terms[1, r] = 1
+    return det_bareiss(m_entries(MultiPoly(ctx, 2, terms), e, d))
 
 
 def disc_poly_in_s0(ctx: PrimeCtx, r: int, tail) -> MultiPoly:

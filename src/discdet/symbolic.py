@@ -5,7 +5,6 @@ exact polynomial identity in the roots x_1..x_r at desk scale, and to track
 single-variable (s_0-adic) valuations in the experimental checks.
 """
 
-from itertools import combinations
 from operator import mul
 
 from .ff import PrimeCtx
@@ -207,20 +206,6 @@ def det_bareiss(entries) -> MultiPoly:
     return minors.get((1 << n) - 1, MultiPoly(ctx, nv))
 
 
-def generic_monic(r: int, ctx: PrimeCtx):
-    """Coefficients s_0..s_r of prod (x - x_i) as polynomials in the roots."""
-    if r < 2:
-        raise ValueError("need r >= 2")
-    out = [MultiPoly.constant(ctx, r, 1)]
-    for i in range(1, r + 1):
-        terms = {}
-        for combo in combinations(range(r), i):
-            mono = tuple(1 if j in combo else 0 for j in range(r))
-            terms[mono] = (-1) ** (i % 2)
-        out.append(MultiPoly(ctx, r, terms))
-    return out
-
-
 def delta_power(r: int, g: int, ctx: PrimeCtx) -> MultiPoly:
     """prod_{i<j} (x_i - x_j)^g."""
     if g < 0:
@@ -234,51 +219,26 @@ def delta_power(r: int, g: int, ctx: PrimeCtx) -> MultiPoly:
     return delta ** g
 
 
-def poly_power_coeffs(coeffs, e: int, max_index: int):
-    """x-coefficients 0..max_index of (sum coeffs[i] x^i)^e, entries MultiPoly."""
-    ctx = coeffs[0].ctx
-    nv = coeffs[0].nvars
-    zero = MultiPoly(ctx, nv)
-    one = [MultiPoly.constant(ctx, nv, 1)]
-
-    def trunc_mul(a, b):
-        out = [zero] * min(len(a) + len(b) - 1, max_index + 1)
-        for i, ai in enumerate(a):
-            if ai.is_zero() or i > max_index:
-                continue
-            for j, bj in enumerate(b):
-                if i + j > max_index:
-                    break
-                if not bj.is_zero():
-                    out[i + j] = out[i + j] + ai * bj
-        return out
-
-    result = one
-    base = list(coeffs)
-    while e:
-        if e & 1:
-            result = trunc_mul(result, base)
-        e >>= 1
-        if e:
-            base = trunc_mul(base, base)
-    result += [zero] * (max_index + 1 - len(result))
-    return result[: max_index + 1]
-
-
-def m_entries(ascending, e: int, d: int):
-    """Entries of M_d(f^e), row by row, for f = sum ascending[i] x^i with
-    MultiPoly coefficients: entry (i, j) is [x^{ip+j-d-1}] f^e (1-based)."""
-    p = ascending[0].ctx.p
-    c = poly_power_coeffs(ascending, e, d * p - 1)
+def m_entries(F: MultiPoly, e: int, d: int):
+    """Entries of M_d(f^e), row by row, for f = F with x its last variable:
+    entry (i, j) is [x^{ip+j-d-1}] F^e (1-based), a MultiPoly in the others."""
+    by_degree = {}
+    for mono, c in (F ** e).terms.items():
+        by_degree.setdefault(mono[-1], {})[mono[:-1]] = c
+    p, nv = F.ctx.p, F.nvars - 1
     return [
-        [c[i * p + j - d - 1] for j in range(1, d + 1)]
+        [MultiPoly(F.ctx, nv, by_degree.get(i * p + j - d - 1)) for j in range(1, d + 1)]
         for i in range(1, d + 1)
     ]
 
 
 def symbolic_m_matrix(r: int, e: int, d: int, ctx: PrimeCtx):
-    """Entries of M_d(f^e) for the generic monic f, as MultiPoly in the roots."""
-    return m_entries(list(reversed(generic_monic(r, ctx))), e, d)
+    """Entries of M_d(f^e) for f = prod (x - x_i), as MultiPoly in the roots."""
+    x = MultiPoly.variable(ctx, r + 1, r)
+    f = MultiPoly.constant(ctx, r + 1, 1)
+    for i in range(r):
+        f = f * (x - MultiPoly.variable(ctx, r + 1, i))
+    return m_entries(f, e, d)
 
 
 def theorem1_check(t) -> dict:

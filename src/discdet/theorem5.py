@@ -30,7 +30,7 @@ class SingularM(ArithmeticError):
 
 class StructuredSpec:
     def __init__(self, ctx: PrimeCtx, r: int, e: int, f: FpPoly):
-        if in_B(Triple(ctx, r, e, r - 1)) != B_ZERO or in_B(Triple(ctx, r, e + 1, r - 1)) != B_ZERO:
+        if not _b0_pair(ctx, r, e):
             raise ValueError(f"(r={r}, e={e}) and e+1 must both be B0 at p={ctx.p}")
         if f.degree != r or f.lead() != 1:
             raise ValueError("f must be monic of degree r")
@@ -89,15 +89,16 @@ class StructuredSpec:
         return build_PQZB(self)
 
 
+def _b0_pair(ctx: PrimeCtx, r: int, e: int) -> bool:
+    """Both (r, e, r-1) and (r, e+1, r-1) in B0."""
+    return in_B(Triple(ctx, r, e, r - 1)) == B_ZERO == in_B(Triple(ctx, r, e + 1, r - 1))
+
+
 def admissible_pairs(ctx: PrimeCtx):
-    """(r, e) with both (r, e, r-1) and (r, e+1, r-1) in B0."""
+    """(r, e) with both (r, e, r-1) and (r, e+1, r-1) in B0, which needs
+    r <= p+1 and e+1 <= p-1."""
     p = ctx.p
-    out = []
-    for r in range(2, p):
-        for e in range((p - 1) // 2 + 1, p - 1):
-            if r * (p - 1 - e) <= p - 1:
-                out.append((r, e))
-    return out
+    return [(r, e) for r in range(2, p + 2) for e in range(p - 1) if _b0_pair(ctx, r, e)]
 
 
 def beta_coeffs(ctx: PrimeCtx, s, lam_mod: int, max_l: int):
@@ -168,25 +169,15 @@ def s_matrix(ctx: PrimeCtx, coeffs, m: int) -> FpMatrix:
     return FpMatrix.from_rows(ctx, rows)
 
 
-def series_inverse(ctx: PrimeCtx, phi, m: int):
-    """First m coefficients of 1/phi for phi with phi[0] != 0."""
-    p = ctx.p
-    inv0 = pow(phi[0], p - 2, p)
-    out = [inv0] + [0] * (m - 1)
-    for k in range(1, m):
-        acc = 0
-        for j in range(1, min(k, len(phi) - 1) + 1):
-            acc += phi[j] * out[k - j]
-        out[k] = (-acc * inv0) % p
-    return out
-
-
 def psi_series(ctx: PrimeCtx, s, m: int):
-    """First m coefficients of r - t phi'(t)/phi(t)."""
+    """First m coefficients of r - t phi'(t)/phi(t), for phi(0) = 1 and m <= p.
+
+    1/phi is phi^lambda at lambda = -1; past m = p, IndexTooLarge.
+    """
     r = len(s) - 1
     p = ctx.p
     num = [(r - j) * s[j] % p for j in range(r + 1)]  # r*phi - t*phi'
-    inv = series_inverse(ctx, s, m)
+    inv = beta_coeffs(ctx, s, p - 1, m - 1)
     out = [0] * m
     for i in range(m):
         acc = 0

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -125,12 +126,14 @@ def test_det_poly_in_s0_specializes():
     from discdet.fpmat import m_matrix
 
     ctx = prime_ctx(7)
-    r, e, d = 3, 4, 1
-    tail = [2, 0, 5]
-    dp = det_poly_in_s0(ctx, r, e, d, tail)
-    for s0 in range(1, 7):
-        f = FpPoly(ctx, list(reversed(tail)) + [s0])
-        assert dp.evaluate([s0]) == det(m_matrix(f, e, d))
+    r, tail = 3, [2, 0, 5]
+    # at e = 4 the d = 3 determinant is the zero polynomial, at e = 6 it is not
+    for e, d in product((4, 6), (1, 2, 3)):
+        dp = det_poly_in_s0(ctx, r, e, d, tail)
+        assert dp.nvars == 1 and dp.is_zero() == ((e, d) == (4, 3))
+        for s0 in range(1, 7):
+            f = FpPoly(ctx, list(reversed(tail)) + [s0])
+            assert dp.evaluate([s0]) == det(m_matrix(f, e, d)), (e, d, s0)
 
 
 def test_disc_poly_in_s0_specializes():

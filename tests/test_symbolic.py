@@ -15,8 +15,6 @@ from discdet.symbolic import (
     delta_power,
     det_bareiss,
     exact_div,
-    generic_monic,
-    poly_power_coeffs,
     symbolic_m_matrix,
     theorem1_check,
 )
@@ -124,51 +122,35 @@ def test_det_bareiss_matches_numeric_det():
     assert det_bareiss([[zero, x], [zero, x * x]]).is_zero()
 
 
-def test_generic_monic_specializes_to_product_of_roots():
-    ctx = prime_ctx(11)
-    r = 3
-    coeffs = generic_monic(r, ctx)
-    roots = [2, 5, 7]
-    # f(x) = (x-2)(x-5)(x-7): specialize each symmetric coefficient
-    vals = [c.evaluate(roots) for c in coeffs]  # s_0..s_r, descending powers
-    prod = [1]
-    for a in roots:
-        prod = [
-            (prod[i] if i < len(prod) else 0) - a * (prod[i - 1] if i >= 1 else 0)
-            for i in range(len(prod) + 1)
-        ]  # multiply by (x - a), descending
-    assert vals == [c % 11 for c in prod]
-
-
 def test_delta_power_total_degree():
     ctx = prime_ctx(7)
     for r, g in ((2, 2), (3, 2), (4, 4)):
         assert delta_power(r, g, ctx).total_degree() == r * (r - 1) // 2 * g
 
 
-def test_poly_power_coeffs_truncated():
-    ctx = prime_ctx(5)
-    one = MultiPoly.constant(ctx, 1, 1)
-    # (1 + x)^4 coefficients mod 5
-    got = poly_power_coeffs([one, one], 4, 4)
-    assert [c.terms.get((0,), 0) for c in got] == [1, 4, 1, 4, 1]
-
-
 def test_symbolic_m_matrix_matches_numeric():
     from discdet.fpmat import m_matrix
     from discdet.poly import FpPoly
 
-    ctx = prime_ctx(5)
-    r, e, d = 3, 3, 2
-    roots = [1, 2, 4]
-    sym = symbolic_m_matrix(r, e, d, ctx)
-    f = FpPoly(ctx, [1])
-    for a in roots:
-        f = f * FpPoly(ctx, [-a, 1])
-    M = m_matrix(f, e, d)
-    for i in range(d):
-        for j in range(d):
-            assert sym[i][j].evaluate(roots) == M[i, j]
+    rng = random.Random(3)
+    # e = p - 1 at d = 1 puts r*e past d*p - 1, and d = r fills the window
+    cases = [(p, r, e, d) for p in (3, 5, 7) for r in (2, 3, 4)
+             for e in sorted({1, (p + 1) // 2, p - 1}) for d in range(1, min(r, p) + 1)]
+    cases.append((7, 5, 6, 2))
+    assert any(r * e > d * p - 1 for p, r, e, d in cases)
+    assert any(d == r for p, r, e, d in cases)
+    for p, r, e, d in cases:
+        ctx = prime_ctx(p)
+        sym = symbolic_m_matrix(r, e, d, ctx)
+        assert all(a.nvars == r for row in sym for a in row)
+        for _ in range(3):
+            roots = [rng.randrange(p) for _ in range(r)]
+            f = FpPoly(ctx, [1])
+            for a in roots:
+                f = f * FpPoly(ctx, [-a, 1])
+            M = m_matrix(f, e, d)
+            got = [a.evaluate(roots) for row in sym for a in row]
+            assert got == [M[i, j] for i in range(d) for j in range(d)], (p, r, e, d, roots)
 
 
 def test_theorem1_check_pinned_case():
