@@ -14,8 +14,8 @@ from operator import mul
 
 from .ff import PrimeCtx, binom
 from .fpmat import FpMatrix, det, m_matrix
-from .poly import FpPoly, discriminant
-from .sets import Triple
+from .poly import FpPoly, discriminant, sylvester_rows
+from .sets import Triple, eps_E
 from .symbolic import MultiPoly, ScaleRefusal, det_bareiss, exact_div, m_entries
 
 GLYNN_SCALE_LIMIT = 10**7
@@ -92,10 +92,7 @@ def check_equality1(t: Triple, f: FpPoly) -> dict:
     if rhs_det == 0:
         raise SingularDenominator(f"det M_{th.d}(f^{th.e}) = 0")
 
-    sign = r * (r + 1) // 2 * (1 + e) + (r + 1) * d
-    eps = t.ctx.fact[(d + 1) * (p - 1) - r * e] * pow(t.ctx.fact[e], r, p) % p
-    if sign % 2:
-        eps = (-eps) % p
+    eps = eps_E(t.ctx, r, e, d)
 
     left = lhs * pow(s0, max(0, -a), p) % p * pow(delta, max(0, -b), p) % p
     right = eps * rhs_det % p * pow(s0, max(0, a), p) % p * pow(delta, max(0, b), p) % p
@@ -135,18 +132,11 @@ def disc_poly_in_s0(ctx: PrimeCtx, r: int, tail) -> MultiPoly:
     """
     if len(tail) != r:
         raise ValueError(f"tail must have length {r}")
-    zero = MultiPoly(ctx, 1)
     fdesc = [MultiPoly.variable(ctx, 1, 0)] + [
         MultiPoly.constant(ctx, 1, s) for s in tail
     ]
     ddesc = [fdesc[i].scale(r - i) for i in range(r)]  # derivative, descending
-    size = 2 * r - 1
-    rows = []
-    for i in range(r - 1):
-        rows.append([zero] * i + fdesc + [zero] * (size - i - r - 1))
-    for i in range(r):
-        rows.append([zero] * i + ddesc + [zero] * (size - i - r))
-    res = det_bareiss(rows)
+    res = det_bareiss(sylvester_rows(fdesc, ddesc, MultiPoly(ctx, 1)))
     if res.is_zero():
         return res
     quot = exact_div(res, MultiPoly.variable(ctx, 1, 0))

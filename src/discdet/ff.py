@@ -124,27 +124,28 @@ def bracket(k: int, d: int) -> int:
     return -1 if ((k - 1) // 2) * ((d - 2) // 2) % 2 else 1
 
 
+def perm_sign(images) -> int:
+    """Sign of the permutation x -> images[x] of 0..n-1, (-1)^(n - #cycles)."""
+    n = len(images)
+    seen = bytearray(n)
+    cycles = 0
+    for start in range(n):
+        if not seen[start]:
+            cycles += 1
+            x = start
+            while not seen[x]:
+                seen[x] = 1
+                x = images[x]
+    return -1 if (n - cycles) % 2 else 1
+
+
 def bracket_bruteforce(k: int, d: int) -> int:
-    """Oracle for bracket: parity of x -> kx mod d by cycle decomposition."""
+    """Oracle for bracket: the sign of x -> kx mod d by cycle decomposition."""
     if d < 1 or d > 10**4:
         raise ValueError("oracle scale is 1 <= d <= 10^4")
     if gcd(k, d) != 1:
         raise ValueError("gcd(k, d) must be 1")
-    k %= d
-    seen = [False] * d
-    sign = 1
-    for start in range(d):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = x * k % d
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    return perm_sign([x * k % d for x in range(d)])
 
 
 def rational_mod_p(ctx: PrimeCtx, q: Fraction) -> int:

@@ -406,27 +406,24 @@ def coeff_window(f: FpPoly, e: int, indices):
     return [g.coeff(n) for n in indices]
 
 
+def sylvester_rows(fd, gd, zero=0):
+    """Rows of the Sylvester matrix of F and G from their descending
+    coefficient lists fd and gd: deg G shifted copies of fd, then deg F of gd,
+    padded with ``zero``."""
+    m, n = len(fd) - 1, len(gd) - 1
+    return ([[zero] * i + fd + [zero] * (n - 1 - i) for i in range(n)]
+            + [[zero] * i + gd + [zero] * (m - 1 - i) for i in range(m)])
+
+
 def sylvester(F: FpPoly, G: FpPoly):
     """Sylvester matrix of F and G; its determinant is Res(F, G)."""
     from .fpmat import FpMatrix
 
     if F.is_zero() or G.is_zero():
         raise ValueError("sylvester needs nonzero polynomials")
-    m, n = F.degree, G.degree
-    if m + n < 1:
+    if F.degree + G.degree < 1:
         raise ValueError("need deg F + deg G >= 1")
-    size = m + n
-    data = [0] * (size * size)
-    # Descending coefficient lists, as rows of the band matrix.
-    fd = list(reversed(F.coeffs))
-    gd = list(reversed(G.coeffs))
-    for i in range(n):
-        for j, c in enumerate(fd):
-            data[i * size + i + j] = c
-    for i in range(m):
-        for j, c in enumerate(gd):
-            data[(n + i) * size + i + j] = c
-    return FpMatrix(F.ctx, size, size, data)
+    return FpMatrix.from_rows(F.ctx, sylvester_rows(F.coeffs[::-1], G.coeffs[::-1]))
 
 
 def resultant(F: FpPoly, G: FpPoly) -> int:

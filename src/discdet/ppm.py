@@ -7,7 +7,7 @@ image sequence [sigma(1), ..., sigma(d)].
 
 from math import gcd
 
-from .ff import bracket
+from .ff import bracket, perm_sign
 
 
 class NotPermutation(ValueError):
@@ -42,21 +42,8 @@ class Ppm:
         return f"Ppm(h={self.h}, k={self.k}, sigma={list(self.sigma)})"
 
     def parity(self) -> int:
-        """Sign of sigma by cycle decomposition."""
-        seen = [False] * self.d
-        sign = 1
-        for start in range(self.d):
-            if seen[start]:
-                continue
-            length = 0
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                x = self.sigma[x] - 1
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
+        """Sign of sigma."""
+        return perm_sign([s - 1 for s in self.sigma])
 
     def to_matrix(self, ctx):
         """Dense 0/1 matrix; for tests only."""

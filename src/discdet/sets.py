@@ -131,39 +131,32 @@ def degree_balance(t: Triple) -> Fraction:
     )
 
 
+def eps_E(ctx: PrimeCtx, r: int, e: int, d: int) -> int:
+    """The scalar of the first experimental equality on E(p), mod p:
+    (-1)^{r(r+1)(1+e)/2 + (r+1)d} ((d+1)(p-1) - re)! (e!)^r."""
+    p = ctx.p
+    out = ctx.fact[(d + 1) * (p - 1) - r * e] * pow(ctx.fact[e], r, p) % p
+    return (-out if (r * (r + 1) // 2 * (1 + e) + (r + 1) * d) % 2 else out) % p
+
+
 def epsilon(t: Triple) -> int:
-    """The scalar in det M_d(f^e) = eps * delta^g on B, mod p."""
+    """The scalar in det M_d(f^e) = eps * delta^g on B, mod p.
+
+    It is ``eps_E`` on B0 and B-, and -``eps_E`` on B+, whose d = r lies
+    outside E(p): there (d+1)(p-1) - re = p-1.
+    """
     tag = in_B(t)
     if tag is None:
         raise NotInB(f"{t} is not in B")
-    ctx, p, r, e = t.ctx, t.p, t.r, t.e
-    if tag == B_PLUS:
-        base = epsilon(Triple(ctx, r, e, t.d - 1))
-        return (-base if (r - 1) % 2 else base) % p
-    if tag == B_MINUS:
-        base = epsilon(Triple(ctx, r, e, t.d + 1))
-        return (-base if r % 2 else base) % p
-    # B0 closed forms: p | r forces r = p (and e = p-1, d = p-1).
-    if r % p == 0:
-        return 1 if p % 4 in (1, 2) else p - 1
-    sign = (r + 1) * (r + 2) // 2 + r * (r + 1) // 2 * e
-    out = ctx.fact[r * (p - 1 - e)] * pow(ctx.fact[e], r, p) % p
-    return (-out if sign % 2 else out) % p
+    out = eps_E(t.ctx, t.r, t.e, t.d)
+    return -out % t.p if tag == B_PLUS else out
 
 
 def enumerate_B(ctx: PrimeCtx):
     """All of B(p), ascending (r, e, d)."""
     p = ctx.p
-    out = []
-    for r in range(2, p + 2):
-        for e in range((p - 1) // 2 + 1, p):
-            if r * (p - 1 - e) <= p - 1:
-                out.append(Triple(ctx, r, e, r - 1))
-            if r * (p - 1 - e) == p - 1 and r - 2 >= 1:
-                out.append(Triple(ctx, r, e, r - 2))
-        if r <= p:
-            out.append(Triple(ctx, r, p - 1, r))
-    return sorted(out, key=Triple.as_tuple)
+    return [Triple(ctx, r, e, d) for r in range(2, p + 2) for e in range(p)
+            for d in (r - 2, r - 1, r) if _in_B(p, r, e, d)]
 
 
 def det_xr1(t: Triple) -> int:

@@ -12,7 +12,7 @@ from functools import cached_property
 from operator import mul
 
 from .ff import PrimeCtx, rational_mod_p
-from .poly import FpPoly, bezout_matrix, discriminant, poly_pow
+from .poly import FpPoly, _mul, bezout_matrix, discriminant, poly_pow
 # inverse stays imported: perfbench/tracer.py hooks it by this name
 from .fpmat import FpMatrix, Singular, det, inverse, m_matrix, solve  # noqa: F401
 from .sets import Triple, in_B, B_ZERO
@@ -123,11 +123,6 @@ def beta_coeffs(ctx: PrimeCtx, s, lam_mod: int, max_l: int):
     return beta
 
 
-def beta(spec: StructuredSpec, l: int, lam: Fraction) -> int:
-    s = [spec.s(i) for i in range(spec.r + 1)]
-    return beta_coeffs(spec.ctx, s, rational_mod_p(spec.ctx, Fraction(lam)), l)[l]
-
-
 def _beta_rows(ctx: PrimeCtx, s, lams, m: int):
     """beta_0..beta_{m-1} of phi^lam for each lam, one row per lam."""
     return [beta_coeffs(ctx, s, rational_mod_p(ctx, lam), m - 1) for lam in lams]
@@ -177,14 +172,7 @@ def psi_series(ctx: PrimeCtx, s, m: int):
     r = len(s) - 1
     p = ctx.p
     num = [(r - j) * s[j] % p for j in range(r + 1)]  # r*phi - t*phi'
-    inv = beta_coeffs(ctx, s, p - 1, m - 1)
-    out = [0] * m
-    for i in range(m):
-        acc = 0
-        for j in range(0, min(i, r) + 1):
-            acc += num[j] * inv[i - j]
-        out[i] = acc % p
-    return out
+    return [c % p for c in _mul(num, beta_coeffs(ctx, s, p - 1, m - 1), p)[:m]]
 
 
 def _zeta(spec: StructuredSpec, m: int):

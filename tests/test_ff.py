@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +13,7 @@ from discdet.ff import (
     bracket_bruteforce,
     is_prime,
     jacobi,
+    perm_sign,
     prime_ctx,
     rational_mod_p,
 )
@@ -75,6 +77,13 @@ def test_bracket_matches_bruteforce_sampled():
             if math.gcd(k, d) != 1:
                 continue
             assert bracket(k, d) == bracket_bruteforce(k, d), (k, d)
+
+
+def test_perm_sign_matches_inversion_parity():
+    for n in range(7):
+        for images in permutations(range(n)):
+            inversions = sum(a > b for i, a in enumerate(images) for b in images[i + 1:])
+            assert perm_sign(images) == (-1) ** inversions, images
 
 
 def test_bracket_special_values():

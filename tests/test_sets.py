@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -83,6 +85,27 @@ def test_epsilon_examples():
     assert epsilon(T(3, 2, 2, 1)) == 1
     with pytest.raises(NotInB):
         epsilon(T(7, 3, 3, 1))
+
+
+def test_b_and_epsilon_pinned():
+    # Recorded from the earlier loop enumeration of B and the recursive B+/B-
+    # epsilon with its p | r branch.
+    path = Path(__file__).resolve().parent / "data" / "b_epsilon_sha256.json"
+    with open(path) as fh:
+        pinned = json.load(fh)
+    got = {}
+    for p in range(2, 62):
+        if is_prime(p):
+            rows = [(t.r, t.e, t.d, epsilon(t)) for t in enumerate_B(prime_ctx(p))]
+            got[str(p)] = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert got == pinned
+
+
+def test_epsilon_at_r_equals_p():
+    # (p, p-1, p-1) is the B0 member with p | r
+    for p in range(2, 32):
+        if is_prime(p):
+            assert epsilon(T(p, p, p - 1, p - 1)) == (1 if p % 4 in (1, 2) else p - 1), p
 
 
 def test_epsilon_sign_relations():

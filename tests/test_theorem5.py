@@ -14,7 +14,6 @@ from discdet.theorem5 import (
     SingularM,
     StructuredSpec,
     admissible_pairs,
-    beta,
     beta_coeffs,
     build_PQZB,
     check_aux_lemmas,
@@ -53,9 +52,10 @@ def test_spec_validation():
 
 def test_beta_basics():
     spec = make_spec(7, 3, 4, [1, 2, 3])
-    assert beta(spec, 0, Fraction(5)) == 1
-    for l in range(1, 4):
-        assert beta(spec, l, Fraction(1)) == spec.s(l)
+    s = [spec.s(i) for i in range(spec.r + 1)]
+    assert beta_coeffs(spec.ctx, s, 5, 0) == [1]
+    # lambda = 1: phi^1 = phi
+    assert beta_coeffs(spec.ctx, s, 1, 3) == s
 
 
 def test_beta_binomial_series():
