@@ -15,7 +15,7 @@ from operator import mul
 from .ff import PrimeCtx, binom
 from .fpmat import FpMatrix, det, m_matrix
 from .poly import FpPoly, discriminant, sylvester_rows
-from .sets import Triple, eps_E
+from .sets import Triple, e_window, eps_E
 from .symbolic import MultiPoly, ScaleRefusal, det_bareiss, exact_div, m_entries
 
 GLYNN_SCALE_LIMIT = 10**7
@@ -38,29 +38,22 @@ def hat(t: Triple) -> Triple:
     return Triple(t.ctx, t.r, t.p - 1 - t.e, t.r - 1 - t.d)
 
 
+def _e_ds(p: int, r: int) -> range:
+    """The d of E(p) at r: 0 <= d <= r-1, d <= p and r-1-d <= p."""
+    return range(max(r - 1 - p, 0), min(r - 1, p) + 1)
+
+
 def in_E(ctx: PrimeCtx, r: int, e: int, d: int) -> bool:
-    p = ctx.p
-    return (
-        r >= 2
-        and 0 <= e <= p - 1
-        and 0 <= d <= r - 1
-        and d <= p
-        and r - 1 - d <= p
-        and d * (p - 1) <= r * e <= (d + 1) * (p - 1)
-    )
+    return r >= 2 and d in _e_ds(ctx.p, r) and e in e_window(ctx.p, r, d)
 
 
 def enumerate_E(ctx: PrimeCtx, r_max: int):
     """All (r, e, d) in the E(p) window with r <= r_max, lexicographic."""
     if r_max < 2:
         raise ValueError("need r_max >= 2")
-    return [
-        Triple(ctx, r, e, d)
-        for r in range(2, r_max + 1)
-        for e in range(ctx.p)
-        for d in range(r)
-        if in_E(ctx, r, e, d)
-    ]
+    p = ctx.p
+    return sorted((Triple(ctx, r, e, d) for r in range(2, r_max + 1) for d in _e_ds(p, r)
+                   for e in e_window(p, r, d)), key=Triple.as_tuple)
 
 
 def _det_m(f: FpPoly, e: int, d: int) -> int:

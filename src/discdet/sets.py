@@ -1,9 +1,9 @@
 """Classification of exponent triples (r, e, d) and their closed-form data.
 
 A triple determines the matrix M_d(f^e) for degree-r polynomials f over F_p.
-This module supplies the exponent g, membership predicates for the B and U
-families, the epsilon scalar on B, closed-form determinants for the
-specialized polynomials x^r - 1 and x^r - x, the candidate classes C1-C4
+This module supplies the exponent g, the (r, d) windows that E(p), D and B
+are read off (``e_window``, ``b_span``), membership in U, the epsilon scalar
+on B, closed-form determinants for x^r - 1 and x^r - x, the classes C1-C4
 (``enumerate_C``) and their stage T1 test (``t1_survivors``, the integer
 kernel that verify3 runs, tested against ``enumerate_C``), and the kappa
 invariant that controls which d = 1 candidates survive the x^r - x test.
@@ -85,14 +85,29 @@ def half_g(p: int, r: int, e: int, d: int) -> int:
     return num // (2 * r * (r - 1))
 
 
+def e_window(p: int, r: int, d: int) -> range:
+    """The e in 0..p-1 with d(p-1) <= re <= (d+1)(p-1), r >= 1: E(p), D and B read off it."""
+    lo, hi = -(-d * (p - 1) // r), (d + 1) * (p - 1) // r + 1
+    return range(lo if lo > 0 else 0, hi if hi < p else p)
+
+
+def b_span(p: int, r: int, d: int) -> range:
+    """The e with (r, e, d) in B, ascending: the D window (``e_window`` cut to
+    2e > p-1) where the degree balance vanishes, all of it at d = r (B+) and
+    d = r-1 (B0) and at d = r-2 (B-) its top e if r e = (r-1)(p-1).  Empty
+    unless r >= 2 and r-2 <= d <= min(r, p)."""
+    if r < 2 or d < r - 2 or d > r or d > p:
+        return range(0)
+    w, half = e_window(p, r, d), (p + 1) // 2
+    if w.start < half:
+        w = range(half, w.stop)
+    if d == r - 2:
+        return w[-1:] if w and r * w[-1] == (r - 1) * (p - 1) else range(0)
+    return w
+
+
 def _in_B(p: int, r: int, e: int, d: int):
-    if 2 <= r <= p and e == p - 1 and d == r:
-        return B_PLUS
-    if 2 <= r <= p + 1 and 2 * e > p - 1 and e <= p - 1 and r * (p - 1 - e) <= p - 1 and d == r - 1:
-        return B_ZERO
-    if r >= 2 and 2 * e > p - 1 and e <= p - 1 and r * (p - 1 - e) == p - 1 and d == r - 2:
-        return B_MINUS
-    return None
+    return (B_PLUS, B_ZERO, B_MINUS)[r - d] if e in b_span(p, r, d) else None
 
 
 def in_B(t: Triple):
@@ -115,8 +130,8 @@ def in_U(t: Triple) -> bool:
 
 
 def in_D(t: Triple) -> bool:
-    p, r, e, d = t.p, t.r, t.e, t.d
-    return 2 * e > p - 1 and e <= p - 1 and d * (p - 1) <= r * e <= (d + 1) * (p - 1)
+    """2e > p-1 and e in the (r, d) window; False at r <= 0, where it has none."""
+    return t.r >= 1 and 2 * t.e > t.p - 1 and t.e in e_window(t.p, t.r, t.d)
 
 
 def degree_balance(t: Triple) -> Fraction:
@@ -153,10 +168,10 @@ def epsilon(t: Triple) -> int:
 
 
 def enumerate_B(ctx: PrimeCtx):
-    """All of B(p), ascending (r, e, d)."""
+    """All of B(p), ascending (r, e, d): three ``b_span`` ranges per r."""
     p = ctx.p
-    return [Triple(ctx, r, e, d) for r in range(2, p + 2) for e in range(p)
-            for d in (r - 2, r - 1, r) if _in_B(p, r, e, d)]
+    return sorted((Triple(ctx, r, e, d) for r in range(2, p + 2) for d in (r - 2, r - 1, r)
+                   for e in b_span(p, r, d)), key=Triple.as_tuple)
 
 
 def det_xr1(t: Triple) -> int:
@@ -309,16 +324,11 @@ def _classes(p: int, r: int):
 
 
 def _in_B_span(p: int, r: int, d: int, e_lo: int, n: int) -> range:
-    """The positions i < n at which e = e_lo + (r-1)i makes (r, e, d) a member
-    of B, for d >= r-2 >= 1, 2e > p-1 and e <= p-1 (all of C1-C4 at r >= 3).
-
-    e grows with i, so they are one interval: e = p-1 at d = r (B+),
-    e >= p-1-s at d = r-1 (B0) and e = p-1-s at d = r-2 (B-), s = (p-1)/r.
-    """
-    at, rem = divmod(p - 1 - (d < r) * (p - 1) // r - e_lo, r - 1)
-    if d == r - 1:
-        return range(max(at + (rem > 0), 0), n)
-    return range(at, at + 1) if rem == 0 and 0 <= at < n else range(0)
+    """The positions i < n at which e = e_lo + (r-1)i lies in ``b_span(p, r, d)``, r >= 2.
+    T1 calls it per column, so it and the windows clamp by conditionals, not max/min."""
+    span = b_span(p, r, d)
+    lo, hi = -((e_lo - span.start) // (r - 1)), (span.stop - 1 - e_lo) // (r - 1) + 1
+    return range(lo if lo > 0 else 0, hi if hi < n else n)
 
 
 def t1_survivors(ctx: PrimeCtx):
@@ -353,7 +363,7 @@ def t1_survivors(ctx: PrimeCtx):
     so the list is only scanned.
 
     B holds a member only at d in {r-2, r-1, r}, and there a column's B
-    members are one interval of l, as e grows with l (``_in_B_span``); a
+    members are the l whose e lies in ``b_span`` (``_in_B_span``); a
     column wholly in B (C2 at d = r-1 and r) is stepped through but not
     scanned.  Every C1-C4 member at r = 2 lies in B (C1 in B0, C2 in B+,
     no C3 or C4), so r = 2 is skipped, and each r >= 3 has a C1 member
@@ -361,11 +371,10 @@ def t1_survivors(ctx: PrimeCtx):
     r >= 3.
 
     C4, whose members must lie in U and in none of C1-C3, needs no test of
-    either.  Its members at d in {r-1, r} lie in B: U's
-    d(p-1) <= re <= r(p-1) gives r(p-1-e) <= p-1 at d = r-1 (B0, as
-    e > (p-1)/2 for r >= 3) and e = p-1 at d = r (B+).  With
-    t = floor(s/(r-1)), its d = r-2 members are e = (r-1)(s+l), |l| <= t
-    (l > -t at r = 3), and
+    either.  Its members at d in {r-1, r} lie in B: there U's
+    d(p-1) <= re <= r(p-1) is ``e_window``, past (p-1)/2 at r >= 3, so
+    ``b_span``.  With t = floor(s/(r-1)), its d = r-2 members are
+    e = (r-1)(s+l), |l| <= t (l > -t at r = 3), and
     - all of them lie in U: |l| <= t gives d(p-1) <= re <= r(p-1), and
       g/2 = (r-2)(l + s/2) > 0 is an integer, as s is even where r is odd;
     - at r = 3, each is the C1 member with l + s/2 in place of l;
@@ -479,12 +488,10 @@ def kappa_survivor_primes(s: int, l: int, p_max: int):
     the x^r - x test, paired with the surviving triple (r, s+(r-1)l, 1)."""
     kq = kappa(s, l)
     out = []
-    for p in range(2 * s + 1, p_max + 1):
-        if (p - 1) % s or not is_prime(p):
+    for p in range(2 * s + 1, p_max + 1, s):
+        if not is_prime(p):
             continue
         r = (p - 1) // s
-        if r < 2:
-            continue
         k_mod = kq.numerator % p * pow(kq.denominator % p, p - 2, p) % p
         if pow(k_mod, s, p) != 1:
             continue

@@ -15,7 +15,7 @@ from .ff import PrimeCtx, rational_mod_p
 from .poly import FpPoly, _mul, bezout_matrix, discriminant, poly_pow
 # inverse stays imported: perfbench/tracer.py hooks it by this name
 from .fpmat import FpMatrix, Singular, det, inverse, m_matrix, solve  # noqa: F401
-from .sets import Triple, in_B, B_ZERO
+from .sets import b_span
 
 SPEC_TRIES = 100  # random f drawn by random_spec before it gives up
 
@@ -91,14 +91,13 @@ class StructuredSpec:
 
 def _b0_pair(ctx: PrimeCtx, r: int, e: int) -> bool:
     """Both (r, e, r-1) and (r, e+1, r-1) in B0."""
-    return in_B(Triple(ctx, r, e, r - 1)) == B_ZERO == in_B(Triple(ctx, r, e + 1, r - 1))
+    return e in b_span(ctx.p, r, r - 1)[:-1]
 
 
 def admissible_pairs(ctx: PrimeCtx):
-    """(r, e) with both (r, e, r-1) and (r, e+1, r-1) in B0, which needs
-    r <= p+1 and e+1 <= p-1."""
+    """(r, e) with both (r, e, r-1) and (r, e+1, r-1) in B0, ascending."""
     p = ctx.p
-    return [(r, e) for r in range(2, p + 2) for e in range(p - 1) if _b0_pair(ctx, r, e)]
+    return [(r, e) for r in range(2, p + 2) for e in b_span(p, r, r - 1)[:-1]]
 
 
 def beta_coeffs(ctx: PrimeCtx, s, lam_mod: int, max_l: int):

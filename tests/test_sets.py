@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from discdet.experimental import enumerate_E, in_E
 from discdet.ff import bracket, is_prime, prime_ctx
 from discdet.fpmat import det, m_matrix
 from discdet.poly import monomial_sum
@@ -25,6 +26,7 @@ from discdet.sets import (
     _in_B_span,
     _in_U,
     _params,
+    b_span,
     degree_balance,
     det_xr1,
     enumerate_B,
@@ -39,10 +41,80 @@ from discdet.sets import (
     kappa_survivor_primes,
     t1_survivors,
 )
+from discdet.theorem5 import _b0_pair, admissible_pairs
 
 
 def T(p, r, e, d):
     return Triple(prime_ctx(p), r, e, d)
+
+
+# Reference forms: B, D, E(p) and the Theorem 5 pairs as the inequalities
+# they were first written in, independent of sets.e_window and sets.b_span.
+def ref_in_B(p, r, e, d):
+    if 2 <= r <= p and e == p - 1 and d == r:
+        return B_PLUS
+    if 2 <= r <= p + 1 and 2 * e > p - 1 and e <= p - 1 and r * (p - 1 - e) <= p - 1 and d == r - 1:
+        return B_ZERO
+    if r >= 2 and 2 * e > p - 1 and e <= p - 1 and r * (p - 1 - e) == p - 1 and d == r - 2:
+        return B_MINUS
+    return None
+
+
+def ref_in_D(p, r, e, d):
+    return 2 * e > p - 1 and e <= p - 1 and d * (p - 1) <= r * e <= (d + 1) * (p - 1)
+
+
+def ref_in_E(p, r, e, d):
+    return (r >= 2 and 0 <= e <= p - 1 and 0 <= d <= r - 1 and d <= p and r - 1 - d <= p
+            and d * (p - 1) <= r * e <= (d + 1) * (p - 1))
+
+
+def ref_b0_pair(p, r, e):
+    return ref_in_B(p, r, e, r - 1) == B_ZERO == ref_in_B(p, r, e + 1, r - 1)
+
+
+def ref_enumerate_B(p):
+    return [(r, e, d) for r in range(2, p + 2) for e in range(p) for d in (r - 2, r - 1, r)
+            if ref_in_B(p, r, e, d)]
+
+
+def test_window_forms_match_the_inequalities():
+    for p in filter(is_prime, range(2, 62)):
+        ctx = prime_ctx(p)
+        for r in range(-1, p + 5):
+            for e in range(-2, p + 2):
+                assert _b0_pair(ctx, r, e) == ref_b0_pair(p, r, e), (p, r, e)
+                for d in range(-2, r + 3):
+                    assert _in_B(p, r, e, d) == ref_in_B(p, r, e, d), (p, r, e, d)
+                    assert in_E(ctx, r, e, d) == ref_in_E(p, r, e, d), (p, r, e, d)
+                    if r >= 1:
+                        assert in_D(Triple(ctx, r, e, d)) == ref_in_D(p, r, e, d), (p, r, e, d)
+
+
+def test_window_enumerations_match_scans():
+    for p in filter(is_prime, range(2, 62)):
+        ctx = prime_ctx(p)
+        assert [t.as_tuple() for t in enumerate_B(ctx)] == ref_enumerate_B(p), p
+        assert [t.as_tuple() for t in enumerate_E(ctx, 9)] == [
+            (r, e, d) for r in range(2, 10) for e in range(p) for d in range(r) if ref_in_E(p, r, e, d)], p
+        assert admissible_pairs(ctx) == [
+            (r, e) for r in range(2, p + 2) for e in range(p - 1) if ref_b0_pair(p, r, e)], p
+
+
+def test_enumerate_B_is_sized_to_its_output(monkeypatch):
+    # three b_span ranges per r, not a scan of every e < p
+    import discdet.sets as sets_mod
+
+    p, calls = 1009, []
+
+    def counted(*args):
+        calls.append(args)
+        return b_span(*args)
+
+    monkeypatch.setattr(sets_mod, "b_span", counted)
+    got = [t.as_tuple() for t in enumerate_B(prime_ctx(p))]
+    assert len(calls) <= 3 * (p + 1)
+    assert got == ref_enumerate_B(p)
 
 
 def test_g_exponent_examples():
@@ -199,7 +271,7 @@ def test_ranges_the_kernel_skips_lie_in_B():
         for j in (1, 2, 3, 4):
             for t, _ in enumerate_C(j, ctx):
                 if t.r == 2 or (j == 4 and t.d >= t.r - 1):
-                    assert in_B(t) is not None, (j, t)
+                    assert ref_in_B(p, t.r, t.e, t.d) is not None, (j, t)
 
 
 def test_b_members_of_a_column_are_one_span():
@@ -214,7 +286,7 @@ def test_b_members_of_a_column_are_one_span():
                     continue
                 for e_lo in range((p - 1) // 2 + 1, p):
                     n = (p - 1 - e_lo) // (r - 1) + 1
-                    want = [i for i in range(n) if _in_B(p, r, e_lo + (r - 1) * i, d) is not None]
+                    want = [i for i in range(n) if ref_in_B(p, r, e_lo + (r - 1) * i, d) is not None]
                     assert list(_in_B_span(p, r, d, e_lo, n)) == want, (p, r, d, e_lo)
                     checked += len(want)
     assert checked > 10000
