@@ -64,8 +64,8 @@ def check_equality1(t: Triple, f: FpPoly) -> dict:
     """det M_d(f^e) / det M_{d_hat}(f^{e_hat}) = eps * s0^a * delta^b.
 
     Here a = d(p-1)-(r-1)e, b = e-(p-1)/2, eps is the explicit sign and
-    factorial scalar, and s0 is the leading coefficient of f.  Checked
-    multiplied through so negative exponents never require an inversion.
+    factorial scalar, and s0 is the leading coefficient of f.  A negative
+    exponent is a power of the inverse: s0 != 0, and delta = 0 only with b = 0.
     """
     p, r, e, d = t.p, t.r, t.e, t.d
     if p == 2:
@@ -86,11 +86,8 @@ def check_equality1(t: Triple, f: FpPoly) -> dict:
         raise SingularDenominator(f"det M_{th.d}(f^{th.e}) = 0")
 
     eps = eps_E(t.ctx, r, e, d)
-
-    left = lhs * pow(s0, max(0, -a), p) % p * pow(delta, max(0, -b), p) % p
-    right = eps * rhs_det % p * pow(s0, max(0, a), p) % p * pow(delta, max(0, b), p) % p
     return {
-        "holds": left == right,
+        "holds": lhs == eps * rhs_det * pow(s0, a, p) * pow(delta, b, p) % p,
         "det": lhs,
         "det_hat": rhs_det,
         "eps": eps,
@@ -305,7 +302,5 @@ def check_equality2(q: CoeffQuery) -> dict:
     if g_den == 0:
         out["holds"] = None
         return out
-    t = p - 1 - r * e_hat
-    power = pow(dA if t >= 0 else A.ctx.inv(dA), abs(t), p)
-    out["holds"] = g_num == g_den * power % p
+    out["holds"] = g_num == g_den * pow(dA, p - 1 - r * e_hat, p) % p
     return out

@@ -1,9 +1,10 @@
-"""Dense linear algebra over F_p and the coefficient matrices M_d(f^e)."""
+"""Dense linear algebra over F_p, the coefficient matrices M_d(f^e) and the
+Sylvester matrix."""
 
 from operator import mul
 
 from .ff import PrimeCtx
-from .poly import FpPoly, _pack, _slot, _unpack, coeff_window
+from .poly import FpPoly, _pack, _slot, _unpack, coeff_window, m_exponents, sylvester_rows
 
 
 class Singular(ArithmeticError):
@@ -192,20 +193,18 @@ def m_matrix(f: FpPoly, e: int, d: int) -> FpMatrix:
     p = ctx.p
     if not 1 <= d <= p:
         raise ValueError(f"need 1 <= d <= p, got d={d}")
-    indices = [i * p + j - d - 1 for i in range(1, d + 1) for j in range(1, d + 1)]
-    return FpMatrix(ctx, d, d, coeff_window(f, e, indices))
+    return FpMatrix(ctx, d, d, coeff_window(f, e, m_exponents(p, d)))
 
 
 def m_dets(f: FpPoly, e: int, ds):
     """[det M_d(f^e) for d in ds], from one window and one elimination.
 
-    M_d is the top-right d x d block of M_D (D = max ds).  With its columns
-    reversed, entry (i, j) of M_D is [x^{ip-j}] f^e, so each M_d is the
-    leading d x d block with its columns reversed, and det M_d is
-    (-1)^{floor(d/2)} times the d-th leading principal minor.  Elimination
-    without row swaps gives the minors as prefix products of the pivots.  A
-    zero k-th pivot makes the k-th minor 0; a larger d takes ``det`` of its
-    block of the window.
+    M_d is the top-right d x d block of M_D (D = max ds).  The window reads
+    M_D with its columns reversed, so each M_d is its leading d x d block
+    with the columns reversed, and det M_d is (-1)^{floor(d/2)} times the
+    d-th leading principal minor.  Elimination without row swaps gives the
+    minors as prefix products of the pivots.  A zero k-th pivot makes the
+    k-th minor 0; a larger d takes ``det`` of its block of the window.
     """
     ctx = f.ctx
     p = ctx.p
@@ -213,7 +212,7 @@ def m_dets(f: FpPoly, e: int, ds):
     if not ds or min(ds) < 1 or max(ds) > p:
         raise ValueError(f"need some d, each 1 <= d <= p, got ds={ds}")
     top = max(ds)
-    window = coeff_window(f, e, [i * p - j for i in range(1, top + 1) for j in range(1, top + 1)])
+    window = coeff_window(f, e, m_exponents(p, top, range(top, 0, -1)))
     rows = [window[i * top:(i + 1) * top] for i in range(top)]
     minors = [1]  # minors[k]: the k-th leading minor, while the pivots are nonzero
     for pivot, _, _ in _eliminate(rows, p, False):
@@ -227,3 +226,12 @@ def m_dets(f: FpPoly, e: int, ds):
         out.append(minor if d // 2 % 2 == 0 else -minor % p)
     return out
 
+
+
+def sylvester(F: FpPoly, G: FpPoly) -> FpMatrix:
+    """Sylvester matrix of F and G; its determinant is Res(F, G)."""
+    if F.is_zero() or G.is_zero():
+        raise ValueError("sylvester needs nonzero polynomials")
+    if F.degree + G.degree < 1:
+        raise ValueError("need deg F + deg G >= 1")
+    return FpMatrix.from_rows(F.ctx, sylvester_rows(F.coeffs[::-1], G.coeffs[::-1]))

@@ -406,6 +406,13 @@ def coeff_window(f: FpPoly, e: int, indices):
     return [g.coeff(n) for n in indices]
 
 
+def m_exponents(p: int, d: int, cols=None):
+    """The exponents ip+j-d-1 of M_d(f^e) = ([x^{ip+j-d-1}] f^e)_{1<=i,j<=d},
+    row by row, over the columns j in ``cols`` (1..d by default)."""
+    cols = range(1, d + 1) if cols is None else cols
+    return [i * p + j - d - 1 for i in range(1, d + 1) for j in cols]
+
+
 def sylvester_rows(fd, gd, zero=0):
     """Rows of the Sylvester matrix of F and G from their descending
     coefficient lists fd and gd: deg G shifted copies of fd, then deg F of gd,
@@ -413,17 +420,6 @@ def sylvester_rows(fd, gd, zero=0):
     m, n = len(fd) - 1, len(gd) - 1
     return ([[zero] * i + fd + [zero] * (n - 1 - i) for i in range(n)]
             + [[zero] * i + gd + [zero] * (m - 1 - i) for i in range(m)])
-
-
-def sylvester(F: FpPoly, G: FpPoly):
-    """Sylvester matrix of F and G; its determinant is Res(F, G)."""
-    from .fpmat import FpMatrix
-
-    if F.is_zero() or G.is_zero():
-        raise ValueError("sylvester needs nonzero polynomials")
-    if F.degree + G.degree < 1:
-        raise ValueError("need deg F + deg G >= 1")
-    return FpMatrix.from_rows(F.ctx, sylvester_rows(F.coeffs[::-1], G.coeffs[::-1]))
 
 
 def resultant(F: FpPoly, G: FpPoly) -> int:
@@ -450,27 +446,21 @@ def resultant(F: FpPoly, G: FpPoly) -> int:
         F, G = G, R
 
 
-def bezout_matrix(F: FpPoly, G: FpPoly):
-    """Bezout matrix: (F(x)G(y) - F(y)G(x)) / (x - y) in the monomial basis."""
-    from .fpmat import FpMatrix
-
+def bezout_rows(F: FpPoly, G: FpPoly):
+    """Rows of the Bezout matrix of F and G, the coefficients of
+    (F(x)G(y) - F(y)G(x)) / (x - y) in the monomial basis, unreduced."""
     dim = max(F.degree, G.degree)
     if dim < 1:
-        raise ValueError("bezout_matrix needs max degree >= 1")
-    p = F.ctx.p
-    data = [0] * (dim * dim)
+        raise ValueError("bezout_rows needs max degree >= 1")
+    rows = [[0] * dim for _ in range(dim)]
     # (x^i y^j - x^j y^i)/(x - y) = sum_t x^{j+t} y^{i-1-t}, t = 0..i-j-1 (i > j).
     for i in range(dim + 1):
         fi, gi = F.coeff(i), G.coeff(i)
         for j in range(i):
-            w = (fi * G.coeff(j) - F.coeff(j) * gi) % p
-            if w == 0:
-                continue
+            w = fi * G.coeff(j) - F.coeff(j) * gi
             for t in range(i - j):
-                row = j + t
-                col = i - 1 - t
-                data[row * dim + col] = (data[row * dim + col] + w) % p
-    return FpMatrix(F.ctx, dim, dim, data)
+                rows[j + t][i - 1 - t] += w
+    return rows
 
 
 def discriminant(f: FpPoly) -> int:

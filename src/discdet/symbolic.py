@@ -8,6 +8,8 @@ single-variable (s_0-adic) valuations in the experimental checks.
 from operator import mul
 
 from .ff import PrimeCtx
+from .poly import m_exponents
+from .sets import epsilon, g_exponent, in_B
 
 
 class ScaleRefusal(ValueError):
@@ -225,11 +227,9 @@ def m_entries(F: MultiPoly, e: int, d: int):
     by_degree = {}
     for mono, c in (F ** e).terms.items():
         by_degree.setdefault(mono[-1], {})[mono[:-1]] = c
-    p, nv = F.ctx.p, F.nvars - 1
-    return [
-        [MultiPoly(F.ctx, nv, by_degree.get(i * p + j - d - 1)) for j in range(1, d + 1)]
-        for i in range(1, d + 1)
-    ]
+    nv = F.nvars - 1
+    flat = [MultiPoly(F.ctx, nv, by_degree.get(n)) for n in m_exponents(F.ctx.p, d)]
+    return [flat[i:i + d] for i in range(0, d * d, d)]
 
 
 def symbolic_m_matrix(r: int, e: int, d: int, ctx: PrimeCtx):
@@ -243,8 +243,6 @@ def symbolic_m_matrix(r: int, e: int, d: int, ctx: PrimeCtx):
 
 def theorem1_check(t) -> dict:
     """Exact polynomial identity det M_d(f^e) = eps * delta^g in the roots."""
-    from .sets import epsilon, g_exponent, in_B
-
     if in_B(t) is None:
         raise ValueError(f"{t} is not in B")
     check_desk_scale(t.p, t.r)

@@ -12,7 +12,7 @@ from functools import cached_property
 from operator import mul
 
 from .ff import PrimeCtx, rational_mod_p
-from .poly import FpPoly, _mul, bezout_matrix, discriminant, poly_pow
+from .poly import FpPoly, _mul, bezout_rows, discriminant, m_exponents, poly_pow
 # inverse stays imported: perfbench/tracer.py hooks it by this name
 from .fpmat import FpMatrix, Singular, det, inverse, m_matrix, solve  # noqa: F401
 from .sets import b_span
@@ -60,14 +60,15 @@ class StructuredSpec:
 
     @cached_property
     def L(self) -> FpMatrix:
-        """The d x (r+d) window [x^{ip+j-2r}] f^e, from one expansion of f^e."""
-        fe, r, d, p = poly_pow(self.f, self.e), self.r, self.d, self.p
-        indices = (i * p + j - 2 * r for i in range(1, d + 1) for j in range(1, r + d + 1))
+        """M_d(f^e)'s rows read r columns further left, d x (r+d), from one
+        expansion of f^e."""
+        fe, r, d = poly_pow(self.f, self.e), self.r, self.d
+        indices = m_exponents(self.p, d, range(1 - r, d + 1))
         return FpMatrix(self.ctx, d, r + d, [fe.coeff(n) for n in indices])
 
     @cached_property
     def Me(self) -> FpMatrix:
-        """M_d(f^e): the last d columns of L, as ip+j-d-1 = ip+(r+j)-2r."""
+        """M_d(f^e): the last d columns of L."""
         return self.L.submatrix(0, self.d, self.r, self.r + self.d)
 
     @cached_property
@@ -193,7 +194,7 @@ def build_PQZB(spec: StructuredSpec):
     # f - (1/r) x f'
     inv_r = pow(r % p, p - 2, p)
     g = spec.f - FpPoly(ctx, [0] + [c * inv_r % p for c in fp.coeffs])
-    B = FpMatrix.from_rows(ctx, bezout_matrix(fp, g).to_rows()[::-1])
+    B = FpMatrix.from_rows(ctx, bezout_rows(fp, g)[::-1])
     tab = _beta_rows(ctx, s, [Fraction(-j, r) for j in range(1, d + 1)], d)
     return B, _q_of(ctx, tab), FpMatrix.identity(ctx, d).scale_rows(_zeta(spec, d)), _p_of(ctx, tab[::-1])
 

@@ -45,6 +45,32 @@ def test_benchmark_tracer_hook_points_resolve():
     assert missing == []
 
 
+def test_library_import_graph_is_acyclic():
+    # Every relative import, function-level ones included, is an edge of the
+    # module graph; a cycle means two modules each know the other's layout.
+    graph = {}
+    for path in sorted(SRC.glob("*.py")):
+        graph[path.stem] = edges = set()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                edges.update([node.module] if node.module else [a.name for a in node.names])
+    assert "fpmat" not in graph["poly"]
+    done, stack = set(), []
+
+    def visit(module):
+        if module in stack:
+            raise AssertionError(" -> ".join(stack[stack.index(module):] + [module]))
+        if module not in done:
+            stack.append(module)
+            for dep in sorted(graph.get(module, ())):
+                visit(dep)
+            stack.pop()
+            done.add(module)
+
+    for module in sorted(graph):
+        visit(module)
+
+
 def test_library_has_no_unused_imports():
     # A name the benchmark tracer swaps in a module counts as used there.
     hooked = {(module, path.split(".")[0]) for module, path, _, _ in _tracer_wrapped()}

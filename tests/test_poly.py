@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from discdet import poly
 from discdet.ff import prime_ctx
-from discdet.fpmat import det, m_matrix
+from discdet.fpmat import det, m_matrix, sylvester
 from discdet.poly import (
     XR_MINUS_1,
     XR_MINUS_X,
@@ -17,11 +17,11 @@ from discdet.poly import (
     coeff_window,
     discriminant,
     divmod_poly,
+    m_exponents,
     monomial_sum,
     poly_pow,
     resultant,
     special_discriminant,
-    sylvester,
     trinomial_discriminant,
 )
 
@@ -280,6 +280,19 @@ def test_coeff_window_routes_on_cost(monkeypatch):
     monkeypatch.setattr(poly, "_frobenius_window", refuse)
     ctx = prime_ctx(20161)
     assert m_matrix(monomial_sum(ctx, [(448, 1), (1, 1), (0, 1)]), 20160, 1).data == [8191]
+
+
+def test_m_exponents_follow_the_paper_layout():
+    # M_d(f^e) = (c_{ip+j-d-1})_{1<=i,j<=d}; m_dets reads it with the columns
+    # reversed (entry (i, j) = c_{ip-j}), and theorem5's L at r = d + 1 reads
+    # its rows r columns further left (entry (i, j) = c_{ip+j-2r}, j <= r+d)
+    for p in (2, 5, 23):
+        for d in range(1, 5):
+            rows, r = range(1, d + 1), d + 1
+            assert m_exponents(p, d) == [i * p + j - d - 1 for i in rows for j in rows]
+            assert m_exponents(p, d, range(d, 0, -1)) == [i * p - j for i in rows for j in rows]
+            assert m_exponents(p, d, range(1 - r, d + 1)) == [
+                i * p + j - 2 * r for i in rows for j in range(1, r + d + 1)]
 
 
 def test_resultant_equals_sylvester_det():

@@ -8,7 +8,7 @@ import pytest
 
 from discdet.ff import prime_ctx, rational_mod_p
 from discdet.fpmat import FpMatrix, det, inverse, m_matrix
-from discdet.poly import FpPoly, discriminant, monomial_sum
+from discdet.poly import FpPoly, discriminant, monomial_sum, poly_pow
 from discdet import theorem5
 from discdet.theorem5 import (
     SingularM,
@@ -206,7 +206,8 @@ def test_zeta_scaling_matches_dense_products():
 @pytest.mark.parametrize("p", [5, 13, 23])
 def test_me_read_from_l_matches_m_matrix(p):
     # M_d(f^e) taken from the window L equals an independent m_matrix build,
-    # for a dense f and for x^r + x + 1 (m_matrix's sparse window)
+    # for a dense f and for x^r + x + 1 (m_matrix's sparse window); all of L
+    # is [x^{ip+j-2r}] f^e, 1 <= i <= d, 1 <= j <= r+d
     ctx = prime_ctx(p)
     rng = random.Random(p)
     for r, e in admissible_pairs(ctx):
@@ -216,6 +217,9 @@ def test_me_read_from_l_matches_m_matrix(p):
         ):
             spec = StructuredSpec(ctx, r, e, f)
             assert spec.Me == m_matrix(f, e, spec.d), (r, e, f.coeffs)
+            fe, d = poly_pow(f, e), spec.d
+            assert spec.L.to_rows() == [[fe.coeff(i * p + j - 2 * r) for j in range(1, r + d + 1)]
+                                        for i in range(1, d + 1)], (r, e, f.coeffs)
 
 
 def test_singular_m_raises_from_both_checks():
