@@ -153,5 +153,5 @@ def rational_mod_p(ctx: PrimeCtx, q: Fraction) -> int:
     den = q.denominator % ctx.p
     if den == 0:
         raise DenominatorVanishes(f"{q} has denominator divisible by {ctx.p}")
-    return q.numerator % ctx.p * pow(den, ctx.p - 2, ctx.p) % ctx.p
+    return q.numerator % ctx.p * pow(den, -1, ctx.p) % ctx.p
 

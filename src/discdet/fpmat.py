@@ -57,9 +57,6 @@ class FpMatrix:
             and self.data == other.data
         )
 
-    def __hash__(self):
-        return hash((self.ctx.p, self.rows, self.cols, tuple(self.data)))
-
     def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
         """Each row of ``other`` packed into one integer, a slot per entry
         (Kronecker substitution, as in ``poly._mul``), so row i of the product
@@ -96,12 +93,6 @@ class FpMatrix:
         m = self.cols
         return FpMatrix(self.ctx, m, self.rows, [a for j in range(m) for a in self.data[j::m]])
 
-    def hstack(self, other: "FpMatrix") -> "FpMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch")
-        rows = [self.row(i) + other.row(i) for i in range(self.rows)]
-        return FpMatrix.from_rows(self.ctx, rows)
-
     def submatrix(self, r0, r1, c0, c1) -> "FpMatrix":
         rows = [self.row(i)[c0:c1] for i in range(r0, r1)]
         return FpMatrix(self.ctx, r1 - r0, c1 - c0, [a for r in rows for a in r])
@@ -130,7 +121,7 @@ def _eliminate(rows, p, swap):
             head = a[0][0] % p
         if not head:
             return steps + [(0, None, False)]
-        inv = pow(head, p - 2, p)
+        inv = pow(head, -1, p)
         tail = [y * inv % p for y in a[0][1:]]
         steps.append((head, tail, i > 0))
         # In place on copied rows: on CPython 3.11 this beats a comprehension per row.

@@ -45,9 +45,6 @@ class FpPoly:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self):
-        return hash((self.ctx.p, tuple(self.coeffs)))
-
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -155,7 +152,7 @@ def divmod_poly(a: FpPoly, b: FpPoly):
     p = a.ctx.p
     rem = list(a.coeffs)
     db = b.degree
-    inv_lead = pow(b.lead(), p - 2, p)
+    inv_lead = pow(b.lead(), -1, p)
     quot = [0] * max(len(rem) - db, 0)
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i] % p
@@ -483,22 +480,17 @@ def discriminant(f: FpPoly) -> int:
 
 
 XR_MINUS_1 = "XR_MINUS_1"
-XR_MINUS_X_MINUS_1 = "XR_MINUS_X_MINUS_1"
 XR_MINUS_X = "XR_MINUS_X"
 
 
 def special_discriminant(kind: str, r: int, ctx: PrimeCtx) -> int:
-    """Closed-form discriminants of x^r-1, x^r-x-1 (p | r), x^r-x."""
+    """Closed-form discriminants of x^r-1 and x^r-x."""
     if r < 2:
         raise ValueError("r must be >= 2")
     p = ctx.p
     if kind == XR_MINUS_1:
         sign = -1 if ((r - 1) * (r - 2) // 2) % 2 else 1
         return sign * pow(r, r, p) % p
-    if kind == XR_MINUS_X_MINUS_1:
-        if r % p:
-            raise ValueError("x^r - x - 1 closed form needs p | r")
-        return (-1 if (r * (r + 1) // 2) % 2 else 1) % p
     if kind == XR_MINUS_X:
         sign = -1 if ((r + 1) * (r + 2) // 2) % 2 else 1
         return sign * pow(r - 1, r - 1, p) % p

@@ -492,10 +492,10 @@ def kappa_survivor_primes(s: int, l: int, p_max: int):
         if not is_prime(p):
             continue
         r = (p - 1) // s
-        k_mod = kq.numerator % p * pow(kq.denominator % p, p - 2, p) % p
+        k_mod = kq.numerator % p * pow(kq.denominator, -1, p) % p
         if pow(k_mod, s, p) != 1:
             continue
-        base = (-pow(s + 1, p - 2, p)) % p
+        base = (-pow(s + 1, -1, p)) % p
         if k_mod != pow(base, r * l, p):
             continue
         ctx = prime_ctx(p)

@@ -67,9 +67,6 @@ class MultiPoly:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.ctx.p, frozenset(self.terms.items())))
-
     def __add__(self, other):
         out = dict(self.terms)
         p = self.ctx.p
@@ -169,7 +166,7 @@ def exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     quot = {}
     rem = f
     gm, gc = g.lead()
-    gc_inv = pow(gc, p - 2, p)
+    gc_inv = pow(gc, -1, p)
     while not rem.is_zero():
         rm, rc = rem.lead()
         mono = tuple(a - b for a, b in zip(rm, gm))

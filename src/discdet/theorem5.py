@@ -48,15 +48,21 @@ class StructuredSpec:
     def d(self) -> int:
         return self.r - 1
 
-    def s(self, i: int) -> int:
-        """s_i = coefficient of x^{r-i}; zero outside 0..r."""
-        return self.s_padded[i + self.r] if 0 <= i <= self.r else 0
-
     # Derived once per spec; every check reads them from here.
+    @cached_property
+    def s(self) -> list:
+        """s_0..s_r: s_i is the coefficient of x^{r-i}."""
+        return self.f.coeffs[::-1]
+
     @cached_property
     def s_padded(self) -> list:
         """s_{-r}..s_{2r}: s_i at position i + r, zero outside 0..r."""
-        return [0] * self.r + self.f.coeffs[::-1] + [0] * self.r
+        return [0] * self.r + self.s + [0] * self.r
+
+    @cached_property
+    def inv_r(self) -> int:
+        """1/r in F_p."""
+        return pow(self.r, -1, self.p)
 
     @cached_property
     def L(self) -> FpMatrix:
@@ -157,11 +163,7 @@ def u_matrix(ctx: PrimeCtx, s, lam, m: int) -> FpMatrix:
 
 def s_matrix(ctx: PrimeCtx, coeffs, m: int) -> FpMatrix:
     """Lower-triangular Toeplitz S_m(psi) from the first m series coefficients."""
-    rows = [
-        [coeffs[i - j] if 0 <= i - j < len(coeffs) else 0 for j in range(m)]
-        for i in range(m)
-    ]
-    return FpMatrix.from_rows(ctx, rows)
+    return _p_of(ctx, [list(coeffs[:m]) + [0] * (m - len(coeffs))] * m)
 
 
 def psi_series(ctx: PrimeCtx, s, m: int):
@@ -188,14 +190,11 @@ def build_PQZB(spec: StructuredSpec):
     (i = 1..d) by rows: the same d values, so each beta row is computed once.
     """
     ctx, r, d = spec.ctx, spec.r, spec.d
-    p = ctx.p
-    s = [spec.s(i) for i in range(r + 1)]
     fp = spec.f.derivative()
     # f - (1/r) x f'
-    inv_r = pow(r % p, p - 2, p)
-    g = spec.f - FpPoly(ctx, [0] + [c * inv_r % p for c in fp.coeffs])
+    g = spec.f - FpPoly(ctx, [0] + [c * spec.inv_r for c in fp.coeffs])
     B = FpMatrix.from_rows(ctx, bezout_rows(fp, g)[::-1])
-    tab = _beta_rows(ctx, s, [Fraction(-j, r) for j in range(1, d + 1)], d)
+    tab = _beta_rows(ctx, spec.s, [Fraction(-j, r) for j in range(1, d + 1)], d)
     return B, _q_of(ctx, tab), FpMatrix.identity(ctx, d).scale_rows(_zeta(spec, d)), _p_of(ctx, tab[::-1])
 
 
@@ -233,10 +232,9 @@ def build_LVR(spec: StructuredSpec):
 def claimed_r1_inverse(spec: StructuredSpec) -> FpMatrix:
     """(1/n) Q((r-1)/r..0/r) diag(zeta_1..zeta_r) P(-(2r-1)/r..-r/r)."""
     ctx, r, n = spec.ctx, spec.r, spec.n
-    s = [spec.s(i) for i in range(r + 1)]
-    Q = q_matrix(ctx, s, [Fraction(r - j, r) for j in range(1, r + 1)])
-    P = p_matrix(ctx, s, [Fraction(-(2 * r - i), r) for i in range(1, r + 1)])
-    n_inv = pow(n % ctx.p, ctx.p - 2, ctx.p)
+    Q = q_matrix(ctx, spec.s, [Fraction(r - j, r) for j in range(1, r + 1)])
+    P = p_matrix(ctx, spec.s, [Fraction(-(2 * r - i), r) for i in range(1, r + 1)])
+    n_inv = pow(n, -1, ctx.p)
     return Q @ P.scale_rows([z * n_inv for z in _zeta(spec, r)])
 
 
@@ -245,11 +243,10 @@ def r_um(spec: StructuredSpec) -> FpMatrix:
     (1 - (i-r)/r) s_{i-r} in column r."""
     ctx, r, d, p = spec.ctx, spec.r, spec.d, spec.p
     s = spec.s_padded  # s_{i-j} at i - j + r
-    inv_r = pow(r % p, p - 2, p)
     rows = []
     for i in range(1, r + d + 1):
         row = [s[i - j + r] for j in range(1, r)]
-        row.append((1 - (i - r) * inv_r) * s[i] % p)
+        row.append((1 - (i - r) * spec.inv_r) * s[i] % p)
         rows.append(row)
     return FpMatrix.from_rows(ctx, rows)
 
@@ -273,40 +270,38 @@ def formula_br_lhs(spec: StructuredSpec) -> FpMatrix:
     )
     col = FpMatrix(ctx, m, 1, [(r - i) * s[r + i] % p for i in range(1, r)])
     row = FpMatrix(ctx, 1, m, [(r - j) * s[2 * r - j] % p for j in range(1, r)])
-    inv_r = pow(r % p, p - 2, p)
-    return (A3 @ A4) - (A1 @ A2) - (col @ row).scale(inv_r)
+    return (A3 @ A4) - (A1 @ A2) - (col @ row).scale(spec.inv_r)
 
 
 def check_aux_lemmas(spec: StructuredSpec) -> dict:
-    """Numeric checks of the elimination-route identities; keyed by name."""
+    """Numeric checks of the elimination-route identities; keyed by name.
+
+    With V_t the top r rows of V and V_b its last d rows,
+    [-R2 R1^{-1} | I] V = V_b - (R2 R1^{-1}) V_t.
+    """
     ctx, r, d = spec.ctx, spec.r, spec.d
     L, V, R = build_LVR(spec)
+    Vt, Vb = V.submatrix(0, r, 0, d), V.submatrix(r, r + d, 0, d)
     report = {}
     report["LV=M_next"] = (L @ V) == spec.Me1
-    report["LR=0"] = (L @ R) == FpMatrix(ctx, d, r, [0] * (d * r))
+    report["LR=0"] = not any((L @ R).data)
     R1 = R.submatrix(0, r, 0, r)
-    R2 = R.submatrix(r, r + d, 0, r)
-    R1inv = claimed_r1_inverse(spec)
-    report["R1_inverse"] = (R1 @ R1inv) == FpMatrix.identity(ctx, r)
+    report["R1_inverse"] = (R1 @ claimed_r1_inverse(spec)) == FpMatrix.identity(ctx, r)
     report["formula_Br"] = formula_br_lhs(spec) == spec.factors[0]
-    # R2 R1^{-1} and its reduction below, each as a solve on the transposes
-    quot = solve(R1.transpose(), R2.transpose()).transpose()
-    bracket_row = quot.scale(-1).hstack(FpMatrix.identity(ctx, d))
-    report["bracket_V=quotient"] = (bracket_row @ V) == spec.quotient
+    quot = _r2_r1_inverse(R, r)
+    report["bracket_V=quotient"] = (Vb - quot @ Vt) == spec.quotient
     # Reduction modulo the zeta ideal.
-    Rum = r_um(spec)
-    R1um = Rum.submatrix(0, r, 0, r)
-    R2um = Rum.submatrix(r, r + d, 0, r)
-    quot_um = solve(R1um.transpose(), R2um.transpose()).transpose()
-    report["um_bracket_V=0"] = (
-        quot_um.scale(-1).hstack(FpMatrix.identity(ctx, d)) @ V
-    ) == FpMatrix(ctx, d, d, [0] * (d * d))
-    diff = quot - quot_um
-    report["um_last_column_0"] = all(
-        diff[(i, r - 1)] == 0 for i in range(d)
-    )
+    quot_um = _r2_r1_inverse(r_um(spec), r)
+    report["um_bracket_V=0"] = (quot_um @ Vt) == Vb
+    report["um_last_column_0"] = all(quot[i, r - 1] == quot_um[i, r - 1] for i in range(d))
     report["holds"] = all(v for kk, v in report.items() if kk != "holds")
     return report
+
+
+def _r2_r1_inverse(R: FpMatrix, r: int) -> FpMatrix:
+    """R2 R1^{-1} for R = [R1; R2], R1 square, as a solve on the transposes."""
+    R1, R2 = R.submatrix(0, r, 0, R.cols), R.submatrix(r, R.rows, 0, R.cols)
+    return solve(R1.transpose(), R2.transpose()).transpose()
 
 
 def det_br_identity(spec: StructuredSpec) -> bool:
@@ -314,7 +309,7 @@ def det_br_identity(spec: StructuredSpec) -> bool:
     B = spec.factors[0]
     p, r = spec.p, spec.r
     sign = -1 if (r * (r - 1) // 2) % 2 else 1
-    want = sign * pow(r % p, p - 2, p) * discriminant(spec.f) % p
+    want = sign * spec.inv_r * discriminant(spec.f) % p
     return det(B) == want
 
 

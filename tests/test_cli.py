@@ -81,6 +81,25 @@ def test_th5_random_trials(capsys):
     assert "FAIL" not in stdout
 
 
+def test_th5_and_exp1_stdout_pinned(capsys):
+    # sha256 of stdout, pinned from the aux checks built with [-R2 R1^{-1} | I];
+    # guards the order and format of the factorization and aux report lines
+    pinned = {
+        ("th5", "--p", "13", "--r", "3", "--e", "9"):
+            "990232e17936b83ccfe5daf18aca644b4bfaa239c47ef75f1f0a085d1e0f8031",
+        ("th5", "--p", "23", "--r", "6", "--e", "19", "--trials", "3", "--seed", "2"):
+            "ead958d0dc2f684d186452977c23acbfcf20cbfbd0346346273d6c1bfd8fdb0b",
+        ("th5", "--p", "13", "--r", "4", "--e", "10", "--coeffs", "1,5,2,7"):
+            "c8957fc062a219df879989ae5d80bd635a39daa0948647c271c79bbc6e46b4fc",
+        ("exp1", "--p", "7", "--max-r", "4", "--seed", "0"):
+            "2cf364d053ceb2d980c8cce6a2f5934fdd70d399ffd59bdbe7a4fcba20dbe700",
+    }
+    for argv, digest in pinned.items():
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(stdout.encode()).hexdigest() == digest, argv
+
+
 def test_exp1_small(capsys):
     code, stdout, _ = run(
         capsys, "exp1", "--p", "5", "--max-r", "3", "--trials", "2", "--seed", "0"

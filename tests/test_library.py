@@ -22,6 +22,20 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_library_inverts_with_pow_minus_one():
+    # pow(x, p - 2, p) silently returns 0 for x = 0 mod p, where pow(x, -1, p)
+    # raises, so every modular inverse is written pow(x, -1, p).
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "pow" and len(node.args) == 3
+                  and isinstance(node.args[1], ast.BinOp) and isinstance(node.args[1].op, ast.Sub)
+                  and isinstance(node.args[1].right, ast.Constant) and node.args[1].right.value == 2]
+    assert found == []
+
+
 def _tracer_wrapped():
     """perfbench/tracer.py's WRAPPED list, loaded by path."""
     spec = importlib.util.spec_from_file_location(

@@ -9,7 +9,6 @@ from discdet.fpmat import det, m_matrix, sylvester
 from discdet.poly import (
     XR_MINUS_1,
     XR_MINUS_X,
-    XR_MINUS_X_MINUS_1,
     FpPoly,
     _frobenius_window,
     _mul,
@@ -386,12 +385,13 @@ def test_special_discriminants_match_direct():
 
 
 def test_special_discriminant_xr_x_1_lift():
-    # the closed form needs p | r, so it checks discriminant's p | deg f branch
+    # Delta(x^r - x - 1) = (-1)^{r(r+1)/2} mod p when p | r: checks
+    # discriminant's p | deg f branch
     for p in (3, 5, 7):
         ctx = prime_ctx(p)
         for r in (p, 2 * p):
             f = monomial_sum(ctx, [(r, 1), (1, -1), (0, -1)])
-            assert special_discriminant(XR_MINUS_X_MINUS_1, r, ctx) == discriminant(f)
+            assert discriminant(f) == (-1) ** (r * (r + 1) // 2) % p
 
 
 def test_trinomial_discriminant_matches_resultant():

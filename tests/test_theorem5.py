@@ -52,7 +52,7 @@ def test_spec_validation():
 
 def test_beta_basics():
     spec = make_spec(7, 3, 4, [1, 2, 3])
-    s = [spec.s(i) for i in range(spec.r + 1)]
+    s = spec.s
     assert beta_coeffs(spec.ctx, s, 5, 0) == [1]
     # lambda = 1: phi^1 = phi
     assert beta_coeffs(spec.ctx, s, 1, 3) == s
@@ -175,7 +175,7 @@ def test_beta_rows_taken_once_per_lambda(monkeypatch):
     spec = random_spec(prime_ctx(23), 6, 19, random.Random(3))
     B, Q, Z, P = build_PQZB(spec)
     assert len(calls) == spec.d == len(set(calls))
-    s = [spec.s(i) for i in range(spec.r + 1)]
+    s = spec.s
     d = spec.d
     assert Q == q_matrix(spec.ctx, s, [Fraction(-j, spec.r) for j in range(1, d + 1)])
     assert P == p_matrix(spec.ctx, s, [Fraction(-(spec.r - i), spec.r) for i in range(1, d + 1)])
@@ -196,7 +196,7 @@ def test_zeta_scaling_matches_dense_products():
         ctx, n = spec.ctx, spec.n
         zeta = [rational_mod_p(ctx, Fraction(n, r * n - (r - i))) for i in range(1, r + 1)]
         Zr = FpMatrix(ctx, r, r, [zeta[i] if i == j else 0 for i in range(r) for j in range(r)])
-        s = [spec.s(i) for i in range(r + 1)]
+        s = spec.s
         Qr = q_matrix(ctx, s, [Fraction(r - j, r) for j in range(1, r + 1)])
         Pr = p_matrix(ctx, s, [Fraction(-(2 * r - i), r) for i in range(1, r + 1)])
         want = (Qr @ Zr @ Pr).scale(pow(n, -1, p))
