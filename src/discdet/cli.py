@@ -237,11 +237,12 @@ def _cmd_exp1(args) -> int:
 
 
 def _cmd_exp2(args) -> int:
-    from .experimental import CoeffQuery, check_equality2
+    from .experimental import CoeffQuery, check_equality2, check_glynn_scale
     from .fpmat import FpMatrix, det
 
-    ctx = prime_ctx(args.p)
     p, r = args.p, args.r
+    check_glynn_scale(r, p - 1)  # e = 0 takes adj(A)'s coefficient at p - 1
+    ctx = prime_ctx(p)
     rng = random.Random(args.seed)
     failures = checks = zero_den = 0
     for trial in range(args.trials):

@@ -33,6 +33,12 @@ class SingularA(ArithmeticError):
     pass
 
 
+def check_glynn_scale(r: int, e: int):
+    """Raise ScaleRefusal when glynn_coeff's grid {0..e}^r is past GLYNN_SCALE_LIMIT."""
+    if (e + 1) ** r > GLYNN_SCALE_LIMIT:
+        raise ScaleRefusal(f"(e+1)^r = {(e + 1) ** r} exceeds {GLYNN_SCALE_LIMIT}")
+
+
 def hat(t: Triple) -> Triple:
     """The involution (r, e, d) -> (r, p-1-e, r-1-d) of E(p)."""
     return Triple(t.ctx, t.r, t.p - 1 - t.e, t.r - 1 - t.d)
@@ -243,8 +249,7 @@ def glynn_coeff(q: CoeffQuery) -> int:
     ctx = A.ctx
     p = ctx.p
     r = A.rows
-    if (e + 1) ** r > GLYNN_SCALE_LIMIT:
-        raise ScaleRefusal(f"(e+1)^r = {(e + 1) ** r} exceeds {GLYNN_SCALE_LIMIT}")
+    check_glynn_scale(r, e)
     inv_fact = ctx.inv_fact
     w = [(-1) ** (e - c) * inv_fact[c] * inv_fact[e - c] % p for c in range(e + 1)]
     rows = A.to_rows()

@@ -66,12 +66,6 @@ class PrimeCtx:
         self.fact = fact
         self.inv_fact = inv_fact
 
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError(f"0 is not invertible mod {self.p}")
-        return pow(a, -1, self.p)
-
     def __repr__(self):
         return f"PrimeCtx({self.p})"
 

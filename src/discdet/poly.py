@@ -268,13 +268,12 @@ def _frobenius_window(f: FpPoly, indices):
     runs of consecutive integers, each run is one middle product of B with
     a_0 .. a_{r+L-2}, and B steps from run to run by x^gap mod chi.
     """
-    ctx = f.ctx
-    p = ctx.p
+    p = f.ctx.p
     terms = f.monomials()
     if len(terms) < 2:
         raise ValueError("Frobenius path needs at least 2 terms")
     v, c = terms[0]
-    c_inv = ctx.inv(c)
+    c_inv = pow(c, -1, p)  # c is f's lowest nonzero coefficient
     g = [(k - v, gk * c_inv % p) for k, gk in terms[1:]]  # and g_0 = 1
     r = g[-1][0]
     shift = v * (p - 1)

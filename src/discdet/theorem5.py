@@ -7,7 +7,6 @@ series coefficients beta_l(lambda) = [t^l] phi(t)^lambda, and Z is diagonal
 in zeta_i = n / (rn - (r - i)) with n = p - 1 - e.
 """
 
-from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
@@ -63,6 +62,12 @@ class StructuredSpec:
     def inv_r(self) -> int:
         """1/r in F_p."""
         return pow(self.r, -1, self.p)
+
+    @cached_property
+    def zeta(self) -> list:
+        """zeta_1..zeta_r in F_p, zeta_i = n / (rn - (r - i))."""
+        p, r, n = self.p, self.r, self.n
+        return [n * pow(r * n - (r - i), -1, p) % p for i in range(1, r + 1)]
 
     @cached_property
     def L(self) -> FpMatrix:
@@ -129,9 +134,9 @@ def beta_coeffs(ctx: PrimeCtx, s, lam_mod: int, max_l: int):
     return beta
 
 
-def _beta_rows(ctx: PrimeCtx, s, lams, m: int):
-    """beta_0..beta_{m-1} of phi^lam for each lam, one row per lam."""
-    return [beta_coeffs(ctx, s, rational_mod_p(ctx, lam), m - 1) for lam in lams]
+def _beta_rows(ctx: PrimeCtx, s, lam_mods, m: int):
+    """beta_0..beta_{m-1} of phi^lam for each residue lam, one row per lam."""
+    return [beta_coeffs(ctx, s, lam, m - 1) for lam in lam_mods]
 
 
 def _p_of(ctx: PrimeCtx, tab) -> FpMatrix:
@@ -148,17 +153,17 @@ def _q_of(ctx: PrimeCtx, tab) -> FpMatrix:
 
 def p_matrix(ctx: PrimeCtx, s, lams) -> FpMatrix:
     """P(lam_1..lam_m): entry (i, j) = beta_{i-j}(lam_i)."""
-    return _p_of(ctx, _beta_rows(ctx, s, lams, len(lams)))
+    return _p_of(ctx, _beta_rows(ctx, s, [rational_mod_p(ctx, lam) for lam in lams], len(lams)))
 
 
 def q_matrix(ctx: PrimeCtx, s, mus) -> FpMatrix:
     """Q(mu_1..mu_m): entry (i, j) = beta_{i-j}(mu_j)."""
-    return _q_of(ctx, _beta_rows(ctx, s, mus, len(mus)))
+    return _q_of(ctx, _beta_rows(ctx, s, [rational_mod_p(ctx, mu) for mu in mus], len(mus)))
 
 
 def u_matrix(ctx: PrimeCtx, s, lam, m: int) -> FpMatrix:
     """P(lam, .., lam), whose m rows share one beta row."""
-    return _p_of(ctx, _beta_rows(ctx, s, [lam], m) * m)
+    return _p_of(ctx, _beta_rows(ctx, s, [rational_mod_p(ctx, lam)], m) * m)
 
 
 def s_matrix(ctx: PrimeCtx, coeffs, m: int) -> FpMatrix:
@@ -177,35 +182,29 @@ def psi_series(ctx: PrimeCtx, s, m: int):
     return [c % p for c in _mul(num, beta_coeffs(ctx, s, p - 1, m - 1), p)[:m]]
 
 
-def _zeta(spec: StructuredSpec, m: int):
-    """zeta_1..zeta_m, zeta_i = n / (rn - (r - i))."""
-    ctx, r, n = spec.ctx, spec.r, spec.n
-    return [rational_mod_p(ctx, Fraction(n, r * n - (r - i))) for i in range(1, m + 1)]
-
-
 def build_PQZB(spec: StructuredSpec):
     """The four (r-1) x (r-1) factors B_r, Q_r, Z_{r,n}, P_r.
 
     Q takes lambda = -j/r (j = 1..d) by columns and P takes -(r-i)/r
     (i = 1..d) by rows: the same d values, so each beta row is computed once.
     """
-    ctx, r, d = spec.ctx, spec.r, spec.d
+    ctx, d, inv_r = spec.ctx, spec.d, spec.inv_r
     fp = spec.f.derivative()
     # f - (1/r) x f'
-    g = spec.f - FpPoly(ctx, [0] + [c * spec.inv_r for c in fp.coeffs])
+    g = spec.f - FpPoly(ctx, [0] + [c * inv_r for c in fp.coeffs])
     B = FpMatrix.from_rows(ctx, bezout_rows(fp, g)[::-1])
-    tab = _beta_rows(ctx, spec.s, [Fraction(-j, r) for j in range(1, d + 1)], d)
-    return B, _q_of(ctx, tab), FpMatrix.identity(ctx, d).scale_rows(_zeta(spec, d)), _p_of(ctx, tab[::-1])
+    tab = _beta_rows(ctx, spec.s, [-j * inv_r % spec.p for j in range(1, d + 1)], d)
+    return B, _q_of(ctx, tab), FpMatrix.identity(ctx, d).scale_rows(spec.zeta[:d]), _p_of(ctx, tab[::-1])
 
 
 def check_theorem5(spec: StructuredSpec) -> dict:
     """Compare M_d(f^e)^{-1} M_d(f^{e+1}) with B_r Q_r Z_{r,n} P_r entrywise.
 
-    Z is diagonal, so Z P is P with its rows scaled.
+    Z is diagonal, so Z P is P with its rows scaled by zeta_1..zeta_d.
     """
     lhs = spec.quotient
-    B, Q, Z, P = spec.factors
-    rhs = B @ Q @ P.scale_rows([Z[i, i] for i in range(Z.rows)])
+    B, Q, _, P = spec.factors
+    rhs = B @ Q @ P.scale_rows(spec.zeta[:spec.d])
     return {"holds": lhs == rhs, "lhs": lhs, "rhs": rhs}
 
 
@@ -231,11 +230,11 @@ def build_LVR(spec: StructuredSpec):
 
 def claimed_r1_inverse(spec: StructuredSpec) -> FpMatrix:
     """(1/n) Q((r-1)/r..0/r) diag(zeta_1..zeta_r) P(-(2r-1)/r..-r/r)."""
-    ctx, r, n = spec.ctx, spec.r, spec.n
-    Q = q_matrix(ctx, spec.s, [Fraction(r - j, r) for j in range(1, r + 1)])
-    P = p_matrix(ctx, spec.s, [Fraction(-(2 * r - i), r) for i in range(1, r + 1)])
-    n_inv = pow(n, -1, ctx.p)
-    return Q @ P.scale_rows([z * n_inv for z in _zeta(spec, r)])
+    ctx, r, p, inv_r = spec.ctx, spec.r, spec.p, spec.inv_r
+    Q = _q_of(ctx, _beta_rows(ctx, spec.s, [(r - j) * inv_r % p for j in range(1, r + 1)], r))
+    P = _p_of(ctx, _beta_rows(ctx, spec.s, [(i * inv_r - 2) % p for i in range(1, r + 1)], r))
+    n_inv = pow(spec.n, -1, p)
+    return Q @ P.scale_rows([z * n_inv for z in spec.zeta])
 
 
 def r_um(spec: StructuredSpec) -> FpMatrix:

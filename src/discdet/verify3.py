@@ -70,7 +70,7 @@ class RangeStats(NamedTuple):
 def baseline_eps0(t: Triple) -> int:
     """det M_d((x^r-1)^e) / Delta(x^r-1)^{g/2}, both by closed form."""
     ctx = t.ctx
-    inv_d1 = ctx.inv(special_discriminant(XR_MINUS_1, t.r, ctx))
+    inv_d1 = pow(special_discriminant(XR_MINUS_1, t.r, ctx), -1, ctx.p)
     return det_xr1(t) * pow(inv_d1, half_g(ctx.p, t.r, t.e, t.d), ctx.p) % ctx.p
 
 

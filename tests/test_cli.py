@@ -158,8 +158,10 @@ def test_kappa_no_survivor_placeholder(capsys):
     assert any(l.startswith("2 2 4/9 -") for l in stdout.splitlines())
 
 
-def test_usage_errors_exit_64(capsys):
+def test_usage_errors_exit_64(capsys, monkeypatch):
     import pytest
+
+    from discdet import fpmat
 
     with pytest.raises(SystemExit) as exc:
         main(["verify3", "--min-p", "3"])  # missing --max-p
@@ -196,7 +198,17 @@ def test_usage_errors_exit_64(capsys):
     assert main(["th5", "--p", "6", "--r", "2", "--e", "3"]) == 64
     # f = x^3 has Delta = 0 and a singular M_2(f^4): bad input, not a fault
     assert main(["th5", "--p", "7", "--r", "3", "--e", "4", "--coeffs", "0,0,0"]) == 64
+    # exp2 past the Glynn grid limit (3^15 > 10^7 at e = p - 1) is refused
+    # before a matrix is drawn or a determinant taken
+    dets = []
+    real_det = fpmat.det
+    monkeypatch.setattr(fpmat, "det", lambda A: dets.append(A) or real_det(A))
     capsys.readouterr()
+    assert main(["exp2", "--p", "3", "--r", "15"]) == 64
+    out = capsys.readouterr()
+    assert out.out == "", out.out
+    assert out.err.count("\n") == 1 and "exceeds 10000000" in out.err, out.err
+    assert dets == []
 
 
 def test_internal_arithmetic_faults_exit_70(monkeypatch, capsys):

@@ -36,6 +36,19 @@ def test_library_inverts_with_pow_minus_one():
     assert found == []
 
 
+def test_f_p_kernels_import_no_fractions():
+    # poly, fpmat and theorem5 work on residues only; rationals stay where the
+    # paper's object is rational (sets.g_exponent, kappa, ff.rational_mod_p).
+    found = []
+    for name in ("poly", "fpmat", "theorem5"):
+        path = SRC / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.ImportFrom) and node.module == "fractions") or \
+                    (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def _tracer_wrapped():
     """perfbench/tracer.py's WRAPPED list, loaded by path."""
     spec = importlib.util.spec_from_file_location(

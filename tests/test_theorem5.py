@@ -185,6 +185,31 @@ def test_beta_rows_taken_once_per_lambda(monkeypatch):
     assert U == p_matrix(spec.ctx, s, [Fraction(2, 5)] * 7)
 
 
+def test_spec_checks_build_no_fraction(monkeypatch):
+    # every scalar of a spec (1/r, lambda, zeta) is a residue made from the
+    # spec, so its checks construct no Fraction and reduce none mod p
+    spec = random_spec(prime_ctx(23), 6, 19, random.Random(3))
+    fractions_made, reduced = [], []
+    real_new, real_reduce = Fraction.__new__, theorem5.rational_mod_p
+
+    def counting_new(cls, *args, **kwargs):
+        fractions_made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    def counting_reduce(ctx, q):
+        reduced.append(q)
+        return real_reduce(ctx, q)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(theorem5, "rational_mod_p", counting_reduce)
+    assert check_theorem5(spec)["holds"]
+    assert check_aux_lemmas(spec)["holds"]
+    assert fractions_made == [] and reduced == []
+    # the wrappers do see the rational boundary
+    q_matrix(spec.ctx, spec.s, [Fraction(1, 2)])
+    assert len(fractions_made) == 1 and len(reduced) == 1
+
+
 def test_zeta_scaling_matches_dense_products():
     # check_theorem5 and claimed_r1_inverse scale by zeta instead of taking a
     # dense product with diag(zeta); both give the dense products' entries
