@@ -64,7 +64,7 @@ def _build_parser() -> _Parser:
 
     e2 = sub.add_parser("exp2", help="Glynn-coefficient ratio equality")
     e2.add_argument("--p", type=int, required=True)
-    e2.add_argument("--r", type=int, required=True)
+    e2.add_argument("--r", type=positive_int, required=True)
     e2.add_argument("--trials", type=positive_int, default=20)
     e2.add_argument("--seed", type=int, default=0)
 
@@ -237,7 +237,7 @@ def _cmd_exp1(args) -> int:
 
 
 def _cmd_exp2(args) -> int:
-    from .experimental import CoeffQuery, check_equality2, check_glynn_scale
+    from .experimental import check_equality2, check_glynn_scale
     from .fpmat import FpMatrix, det
 
     p, r = args.p, args.r
@@ -251,7 +251,7 @@ def _cmd_exp2(args) -> int:
             if det(A) != 0:
                 break
         for e in range(p):
-            rep = check_equality2(CoeffQuery(A, e))
+            rep = check_equality2(A, e)
             if rep["zero_denominator"]:
                 zero_den += 1
                 print(f"trial {trial} e={e}: ZERO-DENOMINATOR")

@@ -7,13 +7,12 @@ forms to the same coefficient for the adjugate matrix.  Both are checked
 numerically; neither is proved.
 """
 
-from dataclasses import dataclass
 from itertools import product
 from math import prod
 from operator import mul
 
 from .ff import PrimeCtx, binom
-from .fpmat import FpMatrix, det, m_matrix
+from .fpmat import FpMatrix, det, inverse, m_matrix
 from .poly import FpPoly, discriminant, sylvester_rows
 from .sets import Triple, e_window, eps_E
 from .symbolic import MultiPoly, ScaleRefusal, det_bareiss, exact_div, m_entries
@@ -223,19 +222,7 @@ def check_s0_structure(ctx: PrimeCtx, r: int, e: int, d: int, tail) -> dict:
 
 # -- Glynn coefficients and the second equality ------------------------------
 
-@dataclass(frozen=True)
-class CoeffQuery:
-    A: FpMatrix
-    e: int
-
-    def __post_init__(self):
-        if self.A.rows != self.A.cols or self.A.rows < 1:
-            raise ValueError("A must be square, size >= 1")
-        if not 0 <= self.e <= self.A.ctx.p - 1:
-            raise ValueError("need 0 <= e <= p-1")
-
-
-def glynn_coeff(q: CoeffQuery) -> int:
+def glynn_coeff(A: FpMatrix, e: int) -> int:
     """Coefficient of prod_j X_j^e in prod_i (sum_j a_ij X_j)^e.
 
     P = prod_i (sum_j a_ij X_j)^e has total degree r*e, so the coefficient
@@ -245,10 +232,12 @@ def glynn_coeff(q: CoeffQuery) -> int:
     where 1/w[c] = prod_{s != c} (c - s).  The points 0..e are distinct
     mod p because e <= p-1.
     """
-    A, e = q.A, q.e
     ctx = A.ctx
-    p = ctx.p
-    r = A.rows
+    p, r = ctx.p, A.rows
+    if r != A.cols or r < 1:
+        raise ValueError("A must be square, size >= 1")
+    if not 0 <= e <= p - 1:
+        raise ValueError("need 0 <= e <= p-1")
     check_glynn_scale(r, e)
     inv_fact = ctx.inv_fact
     w = [(-1) ** (e - c) * inv_fact[c] * inv_fact[e - c] % p for c in range(e + 1)]
@@ -263,46 +252,26 @@ def glynn_coeff(q: CoeffQuery) -> int:
 def check_glynn_theorem(A: FpMatrix) -> dict:
     """G^{p-1}(A) = det(A)^{p-1} (i.e. 0 or 1)."""
     p = A.ctx.p
-    lhs = glynn_coeff(CoeffQuery(A, p - 1))
+    lhs = glynn_coeff(A, p - 1)
     rhs = pow(det(A), p - 1, p)
     return {"holds": lhs == rhs, "lhs": lhs, "rhs": rhs}
 
 
-def adjugate(A: FpMatrix) -> FpMatrix:
-    """Cofactor-transpose adjugate: A @ adjugate(A) = det(A) * I."""
-    n = A.rows
-    if n != A.cols:
-        raise ValueError("adjugate needs a square matrix")
-    if n == 1:
-        return FpMatrix(A.ctx, 1, 1, [1])
-    rows = A.to_rows()
-    out = [0] * (n * n)
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [rows[ii][jj] for jj in range(n) if jj != j]
-                for ii in range(n) if ii != i
-            ]
-            c = det(FpMatrix.from_rows(A.ctx, minor))
-            out[j * n + i] = -c if (i + j) % 2 else c
-    return FpMatrix(A.ctx, n, n, out)
+def check_equality2(A: FpMatrix, e: int) -> dict:
+    """G^e(A) / G^{e_hat}(adj A) = det(A)^{p-1-r*e_hat}, e_hat = p-1-e.
 
-
-def check_equality2(q: CoeffQuery) -> dict:
-    """G^e(A) / G^{e_hat}(adjugate A) = det(A)^{p-1-r*e_hat}, e_hat = p-1-e.
-
-    When the denominator coefficient vanishes the case is reported via
-    ``zero_denominator`` instead of being counted as a failure.
+    A must be nonsingular, so adj A = det(A) A^{-1}.  When the denominator
+    coefficient vanishes the case is reported via ``zero_denominator``
+    instead of being counted as a failure.
     """
-    A, e = q.A, q.e
     p = A.ctx.p
     r = A.rows
     dA = det(A)
     if dA == 0:
         raise SingularA("det A = 0")
     e_hat = p - 1 - e
-    g_num = glynn_coeff(q)
-    g_den = glynn_coeff(CoeffQuery(adjugate(A), e_hat))
+    g_num = glynn_coeff(A, e)
+    g_den = glynn_coeff(inverse(A).scale(dA), e_hat)
     out = {"num": g_num, "den": g_den, "zero_denominator": g_den == 0}
     if g_den == 0:
         out["holds"] = None

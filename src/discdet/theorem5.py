@@ -208,26 +208,6 @@ def check_theorem5(spec: StructuredSpec) -> dict:
     return {"holds": lhs == rhs, "lhs": lhs, "rhs": rhs}
 
 
-def build_LVR(spec: StructuredSpec):
-    """L (d x (r+d)), V ((r+d) x d), R ((r+d) x r) of the elimination route."""
-    ctx, r, d, p, n = spec.ctx, spec.r, spec.d, spec.p, spec.n
-    s = spec.s_padded  # s_{i-j} at i - j + r
-    V = FpMatrix.from_rows(
-        ctx, [[s[i - j + r] for j in range(1, d + 1)] for i in range(1, r + d + 1)]
-    )
-    R = FpMatrix.from_rows(
-        ctx,
-        [
-            [
-                (n * (r - i + j) - (r - j)) * s[i - j + r] % p
-                for j in range(1, r + 1)
-            ]
-            for i in range(1, r + d + 1)
-        ],
-    )
-    return spec.L, V, R
-
-
 def claimed_r1_inverse(spec: StructuredSpec) -> FpMatrix:
     """(1/n) Q((r-1)/r..0/r) diag(zeta_1..zeta_r) P(-(2r-1)/r..-r/r)."""
     ctx, r, p, inv_r = spec.ctx, spec.r, spec.p, spec.inv_r
@@ -237,60 +217,54 @@ def claimed_r1_inverse(spec: StructuredSpec) -> FpMatrix:
     return Q @ P.scale_rows([z * n_inv for z in spec.zeta])
 
 
-def r_um(spec: StructuredSpec) -> FpMatrix:
-    """R^u reduced modulo the zeta ideal: s_{i-j} off the last column,
-    (1 - (i-r)/r) s_{i-r} in column r."""
-    ctx, r, d, p = spec.ctx, spec.r, spec.d, spec.p
-    s = spec.s_padded  # s_{i-j} at i - j + r
-    rows = []
-    for i in range(1, r + d + 1):
-        row = [s[i - j + r] for j in range(1, r)]
-        row.append((1 - (i - r) * spec.inv_r) * s[i] % p)
-        rows.append(row)
-    return FpMatrix.from_rows(ctx, rows)
+def _band(spec: StructuredSpec, rows: int, cols: int, shift: int, weight=lambda i, j: 1) -> FpMatrix:
+    """Entry (i, j) = weight(i, j) * s_{i-j+shift} (0-based), s_k = 0 outside 0..r;
+    i - j + shift must lie in -r..2r, the span of s_padded."""
+    s, r = spec.s_padded, spec.r  # s_k at k + r
+    return FpMatrix(spec.ctx, rows, cols,
+                    [weight(i, j) * s[i - j + shift + r] for i in range(rows) for j in range(cols)])
 
 
 def formula_br_lhs(spec: StructuredSpec) -> FpMatrix:
-    """The three-term expression claimed to equal B_r."""
-    ctx, r, p = spec.ctx, spec.r, spec.p
-    m = r - 1
-    # s_k at k + r. The s_k outside 0..r are zero, which makes s_{i-j} lower
-    # and s_{r-j+i} upper triangular.
-    s = spec.s_padded
-    lower = [[s[r + i - j] for j in range(m)] for i in range(m)]
-    upper = [[s[2 * r - j + i] for j in range(m)] for i in range(m)]
-    A1 = FpMatrix.from_rows(
-        ctx, [[(j - i) * upper[i][j] % p for j in range(m)] for i in range(m)]
-    )
-    A2 = FpMatrix.from_rows(ctx, lower)
-    A3 = FpMatrix.from_rows(ctx, upper)
-    A4 = FpMatrix.from_rows(
-        ctx, [[(r - i + j) * lower[i][j] % p for j in range(m)] for i in range(m)]
-    )
-    col = FpMatrix(ctx, m, 1, [(r - i) * s[r + i] % p for i in range(1, r)])
-    row = FpMatrix(ctx, 1, m, [(r - j) * s[2 * r - j] % p for j in range(1, r)])
-    return (A3 @ A4) - (A1 @ A2) - (col @ row).scale(spec.inv_r)
+    """The three-term expression claimed to equal B_r.
+
+    lower = (s_{i-j}) and upper = (s_{r-j+i}) are triangular, as s_k = 0
+    outside 0..r.
+    """
+    r, m = spec.r, spec.r - 1
+    lower = _band(spec, m, m, 0)
+    upper = _band(spec, m, m, r)
+    A1 = _band(spec, m, m, r, lambda i, j: j - i)
+    A4 = _band(spec, m, m, 0, lambda i, j: r - i + j)
+    col = _band(spec, m, 1, 1, lambda i, j: r - 1 - i)  # (r-i) s_i, i = 1..r-1
+    row = _band(spec, 1, m, r - 1, lambda i, j: r - 1 - j)  # (r-j) s_{r-j}, j = 1..r-1
+    return (upper @ A4) - (A1 @ lower) - (col @ row).scale(spec.inv_r)
 
 
 def check_aux_lemmas(spec: StructuredSpec) -> dict:
     """Numeric checks of the elimination-route identities; keyed by name.
 
+    L is M_d(f^e) read r columns further left (d x (r+d)); V (r+d) x d holds
+    s_{i-j} and R (r+d) x r holds (n(r-i+j) - (r-j)) s_{i-j} (1-based i, j).
     With V_t the top r rows of V and V_b its last d rows,
     [-R2 R1^{-1} | I] V = V_b - (R2 R1^{-1}) V_t.
     """
-    ctx, r, d = spec.ctx, spec.r, spec.d
-    L, V, R = build_LVR(spec)
+    ctx, r, d, n, inv_r = spec.ctx, spec.r, spec.d, spec.n, spec.inv_r
+    V = _band(spec, r + d, d, 0)
+    R = _band(spec, r + d, r, 0, lambda i, j: n * (r - i + j) - (r - 1 - j))
     Vt, Vb = V.submatrix(0, r, 0, d), V.submatrix(r, r + d, 0, d)
     report = {}
-    report["LV=M_next"] = (L @ V) == spec.Me1
-    report["LR=0"] = not any((L @ R).data)
+    report["LV=M_next"] = (spec.L @ V) == spec.Me1
+    report["LR=0"] = not any((spec.L @ R).data)
     R1 = R.submatrix(0, r, 0, r)
     report["R1_inverse"] = (R1 @ claimed_r1_inverse(spec)) == FpMatrix.identity(ctx, r)
     report["formula_Br"] = formula_br_lhs(spec) == spec.factors[0]
     quot = _r2_r1_inverse(R, r)
     report["bracket_V=quotient"] = (Vb - quot @ Vt) == spec.quotient
-    # Reduction modulo the zeta ideal.
-    quot_um = _r2_r1_inverse(r_um(spec), r)
+    # Reduction modulo the zeta ideal: R^u has s_{i-j} off its last column and
+    # (1 - (i-r)/r) s_{i-r} in column r.
+    Ru = _band(spec, r + d, r, 0, lambda i, j: 1 if j < r - 1 else 1 - (i + 1 - r) * inv_r)
+    quot_um = _r2_r1_inverse(Ru, r)
     report["um_bracket_V=0"] = (quot_um @ Vt) == Vb
     report["um_last_column_0"] = all(quot[i, r - 1] == quot_um[i, r - 1] for i in range(d))
     report["holds"] = all(v for kk, v in report.items() if kk != "holds")

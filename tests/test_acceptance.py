@@ -188,7 +188,6 @@ def test_criterion_8_kappa_table_and_survivors():
 
 def test_criterion_9_experimental_equalities():
     from discdet.experimental import (
-        CoeffQuery,
         NonInvertibleBase,
         SingularDenominator,
         check_equality1,
@@ -232,7 +231,7 @@ def test_criterion_9_experimental_equalities():
                 done += 1
                 ok = ok and check_glynn_theorem(A)["holds"]
                 for e in range(p):
-                    rep = check_equality2(CoeffQuery(A, e))
+                    rep = check_equality2(A, e)
                     if rep["holds"] is False:
                         ok = False
                         print(f"counterexample? equality2 p={p} e={e} A={A.data}")

@@ -209,6 +209,13 @@ def test_usage_errors_exit_64(capsys, monkeypatch):
     assert out.out == "", out.out
     assert out.err.count("\n") == 1 and "exceeds 10000000" in out.err, out.err
     assert dets == []
+    # a matrix size below 1 is refused at argument parsing
+    for r in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["exp2", "--p", "5", "--r", r])
+        assert exc.value.code == 64, r
+        assert capsys.readouterr().out == ""
+    assert dets == []
 
 
 def test_internal_arithmetic_faults_exit_70(monkeypatch, capsys):

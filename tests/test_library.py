@@ -49,6 +49,22 @@ def test_f_p_kernels_import_no_fractions():
     assert found == []
 
 
+def test_theorem5_reads_s_padded_only_in_band():
+    # Every s-band of Theorem 5's lemmas (V, R, R^u, the pieces of
+    # formula_br_lhs) is one theorem5._band call; no other function reads s_padded.
+    path = SRC / "theorem5.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_band":
+            inside = {id(sub) for sub in ast.walk(node)}
+    reads = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "s_padded"
+             and isinstance(node.ctx, ast.Load)]
+    assert [f"{path.name}:{node.lineno}" for node in reads if id(node) not in inside] == []
+    assert reads
+
+
 def _tracer_wrapped():
     """perfbench/tracer.py's WRAPPED list, loaded by path."""
     spec = importlib.util.spec_from_file_location(

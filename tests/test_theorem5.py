@@ -273,6 +273,34 @@ def test_formula_br_r2_reduces_to_scalar_bezout():
             assert formula_br_lhs(spec)[0, 0] == want
 
 
+def test_formula_br_lhs_matches_its_definition():
+    # Entry (i, j), 1-based: sum_k (s_{r-k+i} (r-k+j) s_{k-j} - (k-i) s_{r-k+i} s_{k-j})
+    # - (1/r) (r-i) s_i (r-j) s_{r-j}, with s_k = 0 outside 0..r.
+    from discdet.theorem5 import formula_br_lhs
+
+    cases = 0
+    for p in (3, 5, 7, 11, 13):
+        ctx = prime_ctx(p)
+        for r, e in admissible_pairs(ctx):
+            if r < 3:
+                continue
+            spec = random_spec(ctx, r, e, random.Random(100 * p + r + e))
+            m, inv_r = r - 1, pow(r, -1, p)
+
+            def s(k):
+                return spec.s[k] if 0 <= k <= r else 0
+
+            want = [
+                (sum(s(r - k + i) * s(k - j) * ((r - k + j) - (k - i)) for k in range(1, r))
+                 - inv_r * (r - i) * s(i) * (r - j) * s(r - j)) % p
+                for i in range(1, r) for j in range(1, r)
+            ]
+            got = formula_br_lhs(spec)
+            assert (got.rows, got.cols, got.data) == (m, m, want), (p, r, e)
+            cases += 1
+    assert cases == 36
+
+
 def test_semigroup_laws():
     ctx = prime_ctx(31)
     rng = random.Random(3)
