@@ -152,14 +152,9 @@ def _cmd_th1sym(args) -> int:
 
 
 def _cmd_th5(args) -> int:
+    from .fpmat import Singular
     from .poly import FpPoly
-    from .theorem5 import (
-        SingularM,
-        StructuredSpec,
-        check_aux_lemmas,
-        check_theorem5,
-        random_spec,
-    )
+    from .theorem5 import StructuredSpec, check_aux_lemmas, check_theorem5, random_spec
 
     ctx = prime_ctx(args.p)
     specs = []
@@ -171,7 +166,7 @@ def _cmd_th5(args) -> int:
         spec = StructuredSpec(ctx, args.r, args.e, f)
         try:
             spec.quotient
-        except SingularM:
+        except Singular:
             # f is the user's input, so a singular M_d(f^e) is a usage error.
             raise ValueError(
                 f"--coeffs {args.coeffs}: M_{args.r - 1}(f^{args.e}) is singular"
@@ -203,12 +198,8 @@ def _random_poly(ctx, r, rng):
 
 
 def _cmd_exp1(args) -> int:
-    from .experimental import (
-        NonInvertibleBase,
-        SingularDenominator,
-        check_equality1,
-        enumerate_E,
-    )
+    from .experimental import NonInvertibleBase, check_equality1, enumerate_E
+    from .fpmat import Singular
 
     ctx = prime_ctx(args.p)
     rng = random.Random(args.seed)
@@ -220,7 +211,7 @@ def _cmd_exp1(args) -> int:
                 try:
                     rep = check_equality1(t, _random_poly(ctx, t.r, rng))
                     break
-                except (SingularDenominator, NonInvertibleBase):
+                except (Singular, NonInvertibleBase):
                     continue
             if rep is None:
                 print(f"(r,e,d)=({t.r},{t.e},{t.d}) trial {trial}: EXHAUSTED")
@@ -238,7 +229,7 @@ def _cmd_exp1(args) -> int:
 
 def _cmd_exp2(args) -> int:
     from .experimental import check_equality2, check_glynn_scale
-    from .fpmat import FpMatrix, det
+    from .fpmat import FpMatrix, Singular
 
     p, r = args.p, args.r
     check_glynn_scale(r, p - 1)  # e = 0 takes adj(A)'s coefficient at p - 1
@@ -248,10 +239,12 @@ def _cmd_exp2(args) -> int:
     for trial in range(args.trials):
         while True:
             A = FpMatrix(ctx, r, r, [rng.randrange(p) for _ in range(r * r)])
-            if det(A) != 0:
+            try:
+                reports = check_equality2(A)
                 break
-        for e in range(p):
-            rep = check_equality2(A, e)
+            except Singular:
+                continue
+        for e, rep in enumerate(reports):
             if rep["zero_denominator"]:
                 zero_den += 1
                 print(f"trial {trial} e={e}: ZERO-DENOMINATOR")

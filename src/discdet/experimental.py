@@ -12,7 +12,7 @@ from math import prod
 from operator import mul
 
 from .ff import PrimeCtx, binom
-from .fpmat import FpMatrix, det, inverse, m_matrix
+from .fpmat import FpMatrix, Singular, det, inverse, m_matrix
 from .poly import FpPoly, discriminant, sylvester_rows
 from .sets import Triple, e_window, eps_E
 from .symbolic import MultiPoly, ScaleRefusal, det_bareiss, exact_div, m_entries
@@ -20,16 +20,8 @@ from .symbolic import MultiPoly, ScaleRefusal, det_bareiss, exact_div, m_entries
 GLYNN_SCALE_LIMIT = 10**7
 
 
-class SingularDenominator(ArithmeticError):
-    """det M_{d_hat}(f^{e_hat}) = 0; resample f."""
-
-
 class NonInvertibleBase(ArithmeticError):
     """A base raised to a negative power is 0 mod p."""
-
-
-class SingularA(ArithmeticError):
-    pass
 
 
 def check_glynn_scale(r: int, e: int):
@@ -70,7 +62,8 @@ def check_equality1(t: Triple, f: FpPoly) -> dict:
 
     Here a = d(p-1)-(r-1)e, b = e-(p-1)/2, eps is the explicit sign and
     factorial scalar, and s0 is the leading coefficient of f.  A negative
-    exponent is a power of the inverse: s0 != 0, and delta = 0 only with b = 0.
+    exponent is a power of the inverse: s0 != 0, and delta = 0 only with b >= 0.
+    Raises Singular when det M_{d_hat}(f^{e_hat}) = 0; resample f.
     """
     p, r, e, d = t.p, t.r, t.e, t.d
     if p == 2:
@@ -81,14 +74,14 @@ def check_equality1(t: Triple, f: FpPoly) -> dict:
     a = d * (p - 1) - (r - 1) * e
     b = e - (p - 1) // 2
     delta = discriminant(f)
-    if delta == 0 and b != 0:
-        raise NonInvertibleBase("discriminant is 0 but appears to a nonzero power")
+    if delta == 0 and b < 0:
+        raise NonInvertibleBase("discriminant is 0 but appears to a negative power")
 
     lhs = _det_m(f, e, d)
     th = hat(t)
     rhs_det = _det_m(f, th.e, th.d)
     if rhs_det == 0:
-        raise SingularDenominator(f"det M_{th.d}(f^{th.e}) = 0")
+        raise Singular(f"det M_{th.d}(f^{th.e}) = 0; resample f")
 
     eps = eps_E(t.ctx, r, e, d)
     return {
@@ -257,24 +250,25 @@ def check_glynn_theorem(A: FpMatrix) -> dict:
     return {"holds": lhs == rhs, "lhs": lhs, "rhs": rhs}
 
 
-def check_equality2(A: FpMatrix, e: int) -> dict:
+def check_equality2(A: FpMatrix) -> list:
     """G^e(A) / G^{e_hat}(adj A) = det(A)^{p-1-r*e_hat}, e_hat = p-1-e.
 
-    A must be nonsingular, so adj A = det(A) A^{-1}.  When the denominator
-    coefficient vanishes the case is reported via ``zero_denominator``
-    instead of being counted as a failure.
+    One report per e = 0..p-1, indexed by e.  A must be nonsingular (else
+    Singular), so adj A = det(A) A^{-1}; det A and adj A are taken once.
+    When the denominator coefficient vanishes the case is reported via
+    ``zero_denominator`` instead of being counted as a failure.
     """
     p = A.ctx.p
     r = A.rows
     dA = det(A)
     if dA == 0:
-        raise SingularA("det A = 0")
-    e_hat = p - 1 - e
-    g_num = glynn_coeff(A, e)
-    g_den = glynn_coeff(inverse(A).scale(dA), e_hat)
-    out = {"num": g_num, "den": g_den, "zero_denominator": g_den == 0}
-    if g_den == 0:
-        out["holds"] = None
-        return out
-    out["holds"] = g_num == g_den * pow(dA, p - 1 - r * e_hat, p) % p
-    return out
+        raise Singular("det A = 0")
+    adj = inverse(A).scale(dA)
+    reports = []
+    for e in range(p):
+        e_hat = p - 1 - e
+        g_num = glynn_coeff(A, e)
+        g_den = glynn_coeff(adj, e_hat)
+        holds = None if g_den == 0 else g_num == g_den * pow(dA, p - 1 - r * e_hat, p) % p
+        reports.append({"num": g_num, "den": g_den, "zero_denominator": g_den == 0, "holds": holds})
+    return reports

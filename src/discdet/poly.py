@@ -62,11 +62,7 @@ class FpPoly:
         )
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return FpPoly(self.ctx, [a * other for a in self.coeffs])
         return FpPoly(self.ctx, _mul(self.coeffs, other.coeffs, self.ctx.p))
-
-    __rmul__ = __mul__
 
     def derivative(self) -> "FpPoly":
         return FpPoly(self.ctx, [i * a for i, a in enumerate(self.coeffs)][1:])

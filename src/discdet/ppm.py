@@ -111,26 +111,20 @@ def _block_diag(blocks):
 
 
 def _block_diag_family(h, k, d):
-    """The block lists of the block-diagonal PPMs of type (h, k) and size d."""
+    """The block lists of the block-diagonal PPMs of type (h, k) and size d; where
+    cases overlap they agree, as K(1, k) = J_k and, at k = 1, K(h, 1) and A_k are I."""
     q, rem = divmod(d, h + k)
-    if h >= 2 and k >= 2:
-        if rem == 1:
-            yield [a_matrix(h, k, 1)] * q + [identity_ppm(h, k, 1)]
-        elif rem == h + k - 1:
-            yield [a_matrix(h, k, k)] * q + [k_matrix(h, k)]
-        elif rem == 0:
-            for m in range(1, k + 1):
-                yield [a_matrix(h, k, m)] * q
+    if rem == 0:
+        for m in range(1, k + 1):
+            yield [a_matrix(h, k, m)] * q
     elif h == 1:
-        if rem == 0:
-            for m in range(1, k + 1):
-                yield [a_matrix(h, k, m)] * q
-        else:
-            yield [a_matrix(h, k, rem)] * q + [j_ppm(h, k, rem)]
-    elif rem == 0:  # k == 1
-        yield [a_matrix(h, k, 1)] * q
-    else:
+        yield [a_matrix(h, k, rem)] * q + [j_ppm(h, k, rem)]
+    elif k == 1:
         yield [a_matrix(h, k, 1)] * q + [identity_ppm(h, k, rem)]
+    elif rem == 1:
+        yield [a_matrix(h, k, 1)] * q + [identity_ppm(h, k, 1)]
+    elif rem == h + k - 1:
+        yield [a_matrix(h, k, k)] * q + [k_matrix(h, k)]
 
 
 def enumerate(h: int, k: int, d: int):

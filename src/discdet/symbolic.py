@@ -90,8 +90,6 @@ class MultiPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
         p, nv = self.ctx.p, self.nvars
         # Monomials packed as the digits of one int in base B: no digit of a
         # product reaches B, so multiplying monomials is adding keys, no carry.
@@ -113,8 +111,6 @@ class MultiPoly:
         res = MultiPoly(self.ctx, nv)
         res.terms = terms
         return res
-
-    __rmul__ = __mul__
 
     def scale(self, c: int):
         c %= self.ctx.p

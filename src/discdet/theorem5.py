@@ -23,10 +23,6 @@ class IndexTooLarge(ValueError):
     pass
 
 
-class SingularM(ArithmeticError):
-    pass
-
-
 class StructuredSpec:
     def __init__(self, ctx: PrimeCtx, r: int, e: int, f: FpPoly):
         if not _b0_pair(ctx, r, e):
@@ -89,11 +85,8 @@ class StructuredSpec:
 
     @cached_property
     def quotient(self) -> FpMatrix:
-        """M_d(f^e)^{-1} M_d(f^{e+1}); raises SingularM when det M_d(f^e) = 0."""
-        try:
-            return solve(self.Me, self.Me1)
-        except Singular:
-            raise SingularM("det M_d(f^e) = 0; resample f") from None
+        """M_d(f^e)^{-1} M_d(f^{e+1}); raises Singular when det M_d(f^e) = 0."""
+        return solve(self.Me, self.Me1)
 
     @cached_property
     def factors(self):
@@ -296,7 +289,7 @@ def random_spec(ctx: PrimeCtx, r: int, e: int, rng) -> StructuredSpec:
         spec = StructuredSpec(ctx, r, e, f)
         try:
             spec.quotient
-        except SingularM:
+        except Singular:
             continue
         return spec
-    raise SingularM(f"no admissible f found in {SPEC_TRIES} tries at p={p}, r={r}, e={e}")
+    raise Singular(f"no admissible f found in {SPEC_TRIES} tries at p={p}, r={r}, e={e}")

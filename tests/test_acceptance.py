@@ -11,7 +11,7 @@ import time
 from functools import lru_cache
 
 from discdet.ff import bracket, is_prime, prime_ctx
-from discdet.fpmat import FpMatrix, det, m_matrix
+from discdet.fpmat import FpMatrix, Singular, det, m_matrix
 from discdet.poly import XR_MINUS_X, monomial_sum, special_discriminant
 from discdet.sets import (
     enumerate_B,
@@ -189,7 +189,6 @@ def test_criterion_8_kappa_table_and_survivors():
 def test_criterion_9_experimental_equalities():
     from discdet.experimental import (
         NonInvertibleBase,
-        SingularDenominator,
         check_equality1,
         check_equality2,
         check_glynn_theorem,
@@ -213,7 +212,7 @@ def test_criterion_9_experimental_equalities():
                 )
                 try:
                     rep = check_equality1(t, f)
-                except (SingularDenominator, NonInvertibleBase):
+                except (Singular, NonInvertibleBase):
                     continue
                 done += 1
                 if not rep["holds"]:
@@ -230,8 +229,7 @@ def test_criterion_9_experimental_equalities():
                     continue
                 done += 1
                 ok = ok and check_glynn_theorem(A)["holds"]
-                for e in range(p):
-                    rep = check_equality2(A, e)
+                for e, rep in enumerate(check_equality2(A)):
                     if rep["holds"] is False:
                         ok = False
                         print(f"counterexample? equality2 p={p} e={e} A={A.data}")

@@ -158,10 +158,32 @@ def test_kappa_no_survivor_placeholder(capsys):
     assert any(l.startswith("2 2 4/9 -") for l in stdout.splitlines())
 
 
+def test_exp2_eliminates_each_matrix_once(capsys, monkeypatch):
+    from discdet import experimental, fpmat
+
+    calls = {"det": 0, "inverse": 0}
+
+    def counted(name, fn):
+        def wrapper(A):
+            calls[name] += 1
+            return fn(A)
+        return wrapper
+
+    real_det = fpmat.det
+    for module in (fpmat, experimental):
+        monkeypatch.setattr(module, "det", counted("det", real_det))
+    monkeypatch.setattr(experimental, "inverse", counted("inverse", experimental.inverse))
+    code, stdout, _ = run(capsys, "exp2", "--p", "7", "--r", "3", "--trials", "5", "--seed", "1")
+    assert code == 0 and "FAIL" not in stdout
+    # five nonsingular draws and one singular one: det once per draw,
+    # adj A once per nonsingular draw
+    assert calls == {"det": 6, "inverse": 5}, calls
+
+
 def test_usage_errors_exit_64(capsys, monkeypatch):
     import pytest
 
-    from discdet import fpmat
+    from discdet import experimental, fpmat
 
     with pytest.raises(SystemExit) as exc:
         main(["verify3", "--min-p", "3"])  # missing --max-p
@@ -202,7 +224,8 @@ def test_usage_errors_exit_64(capsys, monkeypatch):
     # before a matrix is drawn or a determinant taken
     dets = []
     real_det = fpmat.det
-    monkeypatch.setattr(fpmat, "det", lambda A: dets.append(A) or real_det(A))
+    for module in (fpmat, experimental):
+        monkeypatch.setattr(module, "det", lambda A: dets.append(A) or real_det(A))
     capsys.readouterr()
     assert main(["exp2", "--p", "3", "--r", "15"]) == 64
     out = capsys.readouterr()
@@ -221,9 +244,8 @@ def test_usage_errors_exit_64(capsys, monkeypatch):
 def test_internal_arithmetic_faults_exit_70(monkeypatch, capsys):
     from discdet import cli
     from discdet.fpmat import Singular
-    from discdet.theorem5 import SingularM
 
-    for fault in (ZeroDivisionError, Singular, SingularM):
+    for fault in (ZeroDivisionError, Singular):
         def command(args, fault=fault):
             raise fault("internal")
 

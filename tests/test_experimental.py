@@ -5,8 +5,6 @@ import pytest
 
 from discdet.experimental import (
     NonInvertibleBase,
-    SingularA,
-    SingularDenominator,
     adic_valuation,
     check_equality1,
     check_equality2,
@@ -21,7 +19,7 @@ from discdet.experimental import (
     s0_valuation,
 )
 from discdet.ff import prime_ctx
-from discdet.fpmat import FpMatrix, det
+from discdet.fpmat import FpMatrix, Singular, det
 from discdet.poly import FpPoly
 from discdet.sets import Triple
 from discdet.symbolic import MultiPoly, ScaleRefusal
@@ -38,7 +36,7 @@ def checked_eq1(t, rng, tries=500):
         tries -= 1
         try:
             return check_equality1(t, rand_poly(t.ctx, t.r, rng))
-        except (SingularDenominator, NonInvertibleBase):
+        except (Singular, NonInvertibleBase):
             continue
     raise RuntimeError("no valid sample found")
 
@@ -86,6 +84,17 @@ def test_equality1_sweep():
         for t in enumerate_E(ctx, 4):
             for _ in range(3):
                 assert checked_eq1(t, rng)["holds"], t
+
+
+def test_equality1_checks_zero_discriminant_at_nonnegative_power():
+    # f = x^2 has Delta = 0; at p = 7, b = e - 3
+    ctx = prime_ctx(7)
+    f = FpPoly(ctx, [0, 0, 1])
+    rep = check_equality1(Triple(ctx, 2, 4, 1), f)  # b = 1: Delta^1 = 0
+    assert rep["holds"] and rep["delta"] == 0 and rep["delta_exponent"] == 1
+    assert check_equality1(Triple(ctx, 2, 3, 0), f)["holds"]  # b = 0
+    with pytest.raises(NonInvertibleBase):
+        check_equality1(Triple(ctx, 2, 0, 0), f)  # b = -3 needs 1/Delta
 
 
 def test_equality1_rejects_p2():
@@ -241,13 +250,15 @@ def test_equality2_consistency_cases():
     for _ in range(10):
         A = FpMatrix(ctx, 2, 2, [rng.randrange(7) for _ in range(4)])
         if det(A) == 0:
-            with pytest.raises(SingularA):
-                check_equality2(A, 3)
+            with pytest.raises(Singular):
+                check_equality2(A)
             continue
+        reports = check_equality2(A)
+        assert len(reports) == 7
         # e = p-1: denominator G^0 = 1, reduces to Glynn's theorem
-        assert check_equality2(A, 6)["holds"]
+        assert reports[6]["holds"]
         # e = 0: reduces to Glynn on the adjugate
-        assert check_equality2(A, 0)["holds"] in (True, None)
+        assert reports[0]["holds"] in (True, None)
 
 
 def test_equality2_sweep():
@@ -261,6 +272,5 @@ def test_equality2_sweep():
                 if det(A) == 0:
                     continue
                 done += 1
-                for e in range(p):
-                    rep = check_equality2(A, e)
+                for e, rep in enumerate(check_equality2(A)):
                     assert rep["holds"] is not False, (p, r, e, A.data)

@@ -65,6 +65,37 @@ def test_theorem5_reads_s_padded_only_in_band():
     assert reads
 
 
+def test_library_does_not_rename_its_own_exceptions():
+    # A handler that catches one of the package's exceptions and raises another
+    # of them is a second name for one failure; callers catch the first.  Mapping
+    # to a builtin (the CLI's ValueError for bad input) is allowed.
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    own = {node.name for tree in trees.values() for node in ast.walk(tree)
+           if isinstance(node, ast.ClassDef)}
+
+    def names(node):
+        nodes = node.elts if isinstance(node, ast.Tuple) else [node]
+        return {n.id if isinstance(n, ast.Name) else getattr(n, "attr", None) for n in nodes}
+
+    found = []
+    for name, tree in trees.items():
+        for handler in ast.walk(tree):
+            if not isinstance(handler, ast.ExceptHandler) or handler.type is None:
+                continue
+            caught = names(handler.type) & own
+            if not caught:
+                continue
+            for node in (n for stmt in handler.body for n in ast.walk(stmt)):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    raised = names(exc) & own
+                    if raised - caught:
+                        found.append(f"{name}:{node.lineno} {sorted(caught)} -> {sorted(raised)}")
+    assert found == []
+    assert {"Singular", "NonInvertibleBase"} <= own
+
+
 def _tracer_wrapped():
     """perfbench/tracer.py's WRAPPED list, loaded by path."""
     spec = importlib.util.spec_from_file_location(

@@ -7,11 +7,10 @@ from pathlib import Path
 import pytest
 
 from discdet.ff import prime_ctx, rational_mod_p
-from discdet.fpmat import FpMatrix, det, inverse, m_matrix
+from discdet.fpmat import FpMatrix, Singular, det, inverse, m_matrix
 from discdet.poly import FpPoly, discriminant, monomial_sum, poly_pow
 from discdet import theorem5
 from discdet.theorem5 import (
-    SingularM,
     StructuredSpec,
     admissible_pairs,
     beta_coeffs,
@@ -250,7 +249,7 @@ def test_me_read_from_l_matches_m_matrix(p):
 def test_singular_m_raises_from_both_checks():
     spec = make_spec(7, 3, 4, [0, 0, 0])  # f = x^3: det M_2(f^4) = 0
     for check in (check_theorem5, check_aux_lemmas):
-        with pytest.raises(SingularM):
+        with pytest.raises(Singular):
             check(spec)
 
 
