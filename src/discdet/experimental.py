@@ -77,11 +77,11 @@ def check_equality1(t: Triple, f: FpPoly) -> dict:
     if delta == 0 and b < 0:
         raise NonInvertibleBase("discriminant is 0 but appears to a negative power")
 
-    lhs = _det_m(f, e, d)
     th = hat(t)
     rhs_det = _det_m(f, th.e, th.d)
     if rhs_det == 0:
         raise Singular(f"det M_{th.d}(f^{th.e}) = 0; resample f")
+    lhs = _det_m(f, e, d)
 
     eps = eps_E(t.ctx, r, e, d)
     return {

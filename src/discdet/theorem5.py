@@ -11,7 +11,7 @@ from functools import cached_property
 from operator import mul
 
 from .ff import PrimeCtx, rational_mod_p
-from .poly import FpPoly, _mul, bezout_rows, discriminant, m_exponents, poly_pow
+from .poly import FpPoly, _mul, _pack, _slot, _unpack, bezout_rows, discriminant, m_exponents, poly_pow
 # inverse stays imported: perfbench/tracer.py hooks it by this name
 from .fpmat import FpMatrix, Singular, det, inverse, m_matrix, solve  # noqa: F401
 from .sets import b_span
@@ -66,6 +66,15 @@ class StructuredSpec:
         return [n * pow(r * n - (r - i), -1, p) % p for i in range(1, r + 1)]
 
     @cached_property
+    def beta(self) -> list:
+        """beta_0..beta_{r-1} of phi^lambda at lambda = k/r, k = 1-2r..r-1, from
+        one beta_coeffs call: beta[k] is the row of k/r (a negative k counts
+        from the end).  Q and P of build_PQZB and claimed_r1_inverse read it."""
+        r, inv_r, p = self.r, self.inv_r, self.p
+        ks = list(range(r)) + list(range(1 - 2 * r, 0))
+        return beta_coeffs(self.ctx, self.s, [k * inv_r % p for k in ks], r - 1)
+
+    @cached_property
     def L(self) -> FpMatrix:
         """M_d(f^e)'s rows read r columns further left, d x (r+d), from one
         expansion of f^e."""
@@ -105,31 +114,37 @@ def admissible_pairs(ctx: PrimeCtx):
     return [(r, e) for r in range(2, p + 2) for e in b_span(p, r, r - 1)[:-1]]
 
 
-def beta_coeffs(ctx: PrimeCtx, s, lam_mod: int, max_l: int):
-    """beta_0..beta_max of phi^lambda, phi = 1 + s_1 t + ... + s_r t^r.
+def beta_coeffs(ctx: PrimeCtx, s, lam_mods, max_l: int):
+    """beta_0..beta_max of phi^lambda, phi = 1 + s_1 t + ... + s_r t^r, one row
+    per residue lambda in lam_mods.
 
     Recurrence from phi * (phi^lam)' = lam * phi' * phi^lam:
-        k beta_k = sum_{j=1..min(k,r)} ((lam+1) j - k) s_j beta_{k-j}.
+        k beta_k = (lam+1) sum_j j s_j beta_{k-j} - k sum_j s_j beta_{k-j},
+    j = 1..min(k, r).  It runs once for every lambda: beta_k over the lambdas
+    is packed into one integer, a slot per lambda (as in FpMatrix.__matmul__),
+    so each sum over j is one dot product of the packed steps.
     """
     p = ctx.p
     if max_l >= p:
         raise IndexTooLarge(f"recurrence divides by k; need l < p = {p}")
     r = len(s) - 1
     fact, inv_fact = ctx.fact, ctx.inv_fact
-    s1 = s[1:]
-    js = [j * c for j, c in enumerate(s1, 1)]
-    lam1 = lam_mod + 1
-    beta = [1]
+    s1 = [c % p for c in s[1:]]
+    js = [j * c % p for j, c in enumerate(s1, 1)]
+    lam1 = [lam + 1 for lam in lam_mods]
+    m = len(lam1)
+    slot = _slot(r * (p - 1) ** 2)
+    step = [1] * m
+    steps, packed = [step], [_pack(step, slot)]
     for k in range(1, max_l + 1):
-        back = beta[:k - 1 - r:-1] if k > r else beta[::-1]  # beta_{k-1} .. beta_{max(k-r, 0)}
-        acc = lam1 * sum(map(mul, js, back)) - k * sum(map(mul, s1, back))
-        beta.append(acc % p * inv_fact[k] * fact[k - 1] % p)  # 1/k = (k-1)!/k!
-    return beta
-
-
-def _beta_rows(ctx: PrimeCtx, s, lam_mods, m: int):
-    """beta_0..beta_{m-1} of phi^lam for each residue lam, one row per lam."""
-    return [beta_coeffs(ctx, s, lam, m - 1) for lam in lam_mods]
+        back = packed[:k - 1 - r:-1] if k > r else packed[::-1]  # beta_{k-1} .. beta_{max(k-r, 0)}
+        wsum = _unpack(sum(map(mul, js, back)), m, slot)
+        ssum = _unpack(sum(map(mul, s1, back)), m, slot)
+        inv_k = inv_fact[k] * fact[k - 1] % p  # 1/k = (k-1)!/k!
+        step = [(a * x - k * y) * inv_k % p for a, x, y in zip(lam1, wsum, ssum)]
+        steps.append(step)
+        packed.append(_pack(step, slot))
+    return [list(row) for row in zip(*steps)]
 
 
 def _p_of(ctx: PrimeCtx, tab) -> FpMatrix:
@@ -146,17 +161,17 @@ def _q_of(ctx: PrimeCtx, tab) -> FpMatrix:
 
 def p_matrix(ctx: PrimeCtx, s, lams) -> FpMatrix:
     """P(lam_1..lam_m): entry (i, j) = beta_{i-j}(lam_i)."""
-    return _p_of(ctx, _beta_rows(ctx, s, [rational_mod_p(ctx, lam) for lam in lams], len(lams)))
+    return _p_of(ctx, beta_coeffs(ctx, s, [rational_mod_p(ctx, lam) for lam in lams], len(lams) - 1))
 
 
 def q_matrix(ctx: PrimeCtx, s, mus) -> FpMatrix:
     """Q(mu_1..mu_m): entry (i, j) = beta_{i-j}(mu_j)."""
-    return _q_of(ctx, _beta_rows(ctx, s, [rational_mod_p(ctx, mu) for mu in mus], len(mus)))
+    return _q_of(ctx, beta_coeffs(ctx, s, [rational_mod_p(ctx, mu) for mu in mus], len(mus) - 1))
 
 
 def u_matrix(ctx: PrimeCtx, s, lam, m: int) -> FpMatrix:
     """P(lam, .., lam), whose m rows share one beta row."""
-    return _p_of(ctx, _beta_rows(ctx, s, [rational_mod_p(ctx, lam)], m) * m)
+    return _p_of(ctx, beta_coeffs(ctx, s, [rational_mod_p(ctx, lam)], m - 1) * m)
 
 
 def s_matrix(ctx: PrimeCtx, coeffs, m: int) -> FpMatrix:
@@ -172,21 +187,21 @@ def psi_series(ctx: PrimeCtx, s, m: int):
     r = len(s) - 1
     p = ctx.p
     num = [(r - j) * s[j] % p for j in range(r + 1)]  # r*phi - t*phi'
-    return [c % p for c in _mul(num, beta_coeffs(ctx, s, p - 1, m - 1), p)[:m]]
+    return [c % p for c in _mul(num, beta_coeffs(ctx, s, [p - 1], m - 1)[0], p)[:m]]
 
 
 def build_PQZB(spec: StructuredSpec):
     """The four (r-1) x (r-1) factors B_r, Q_r, Z_{r,n}, P_r.
 
     Q takes lambda = -j/r (j = 1..d) by columns and P takes -(r-i)/r
-    (i = 1..d) by rows: the same d values, so each beta row is computed once.
+    (i = 1..d) by rows: the same d rows of the spec's beta table.
     """
     ctx, d, inv_r = spec.ctx, spec.d, spec.inv_r
     fp = spec.f.derivative()
     # f - (1/r) x f'
     g = spec.f - FpPoly(ctx, [0] + [c * inv_r for c in fp.coeffs])
     B = FpMatrix.from_rows(ctx, bezout_rows(fp, g)[::-1])
-    tab = _beta_rows(ctx, spec.s, [-j * inv_r % spec.p for j in range(1, d + 1)], d)
+    tab = [spec.beta[-j] for j in range(1, d + 1)]
     return B, _q_of(ctx, tab), FpMatrix.identity(ctx, d).scale_rows(spec.zeta[:d]), _p_of(ctx, tab[::-1])
 
 
@@ -203,10 +218,10 @@ def check_theorem5(spec: StructuredSpec) -> dict:
 
 def claimed_r1_inverse(spec: StructuredSpec) -> FpMatrix:
     """(1/n) Q((r-1)/r..0/r) diag(zeta_1..zeta_r) P(-(2r-1)/r..-r/r)."""
-    ctx, r, p, inv_r = spec.ctx, spec.r, spec.p, spec.inv_r
-    Q = _q_of(ctx, _beta_rows(ctx, spec.s, [(r - j) * inv_r % p for j in range(1, r + 1)], r))
-    P = _p_of(ctx, _beta_rows(ctx, spec.s, [(i * inv_r - 2) % p for i in range(1, r + 1)], r))
-    n_inv = pow(spec.n, -1, p)
+    ctx, r, beta = spec.ctx, spec.r, spec.beta
+    Q = _q_of(ctx, [beta[r - j] for j in range(1, r + 1)])
+    P = _p_of(ctx, [beta[i - 2 * r] for i in range(1, r + 1)])
+    n_inv = pow(spec.n, -1, spec.p)
     return Q @ P.scale_rows([z * n_inv for z in spec.zeta])
 
 

@@ -97,6 +97,29 @@ def test_equality1_checks_zero_discriminant_at_nonnegative_power():
         check_equality1(Triple(ctx, 2, 0, 0), f)  # b = -3 needs 1/Delta
 
 
+def test_equality1_refuses_before_the_numerator(monkeypatch):
+    # det M_{d_hat}(f^{e_hat}) is taken first: a draw refused for a zero
+    # denominator pays one determinant, a checked draw two
+    from discdet import experimental
+
+    calls = []
+    real = experimental._det_m
+
+    def counting(f, e, d):
+        calls.append((e, d))
+        return real(f, e, d)
+
+    monkeypatch.setattr(experimental, "_det_m", counting)
+    ctx = prime_ctx(7)
+    f = FpPoly(ctx, [0, 1, 0, 0, 1])  # x^4 + x; hat(4, 2, 1) = (4, 4, 2)
+    with pytest.raises(Singular):
+        check_equality1(Triple(ctx, 4, 2, 1), f)
+    assert calls == [(4, 2)]
+    calls.clear()
+    assert check_equality1(Triple(ctx, 4, 2, 1), FpPoly(ctx, [0, 1, 0, 1, 1]))["holds"]  # x^4 + x^3 + x
+    assert calls == [(4, 2), (2, 1)]
+
+
 def test_equality1_rejects_p2():
     with pytest.raises(ValueError):
         check_equality1(

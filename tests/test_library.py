@@ -65,6 +65,30 @@ def test_theorem5_reads_s_padded_only_in_band():
     assert reads
 
 
+def test_theorem5_takes_beta_rows_only_through_beta_coeffs():
+    # Every beta row of a spec comes from the one StructuredSpec.beta table;
+    # the tests' rational-lambda builders and psi_series make their own call.
+    # So the theorem5.beta span of perfbench/tracer.py sees all beta work.
+    path = SRC / "theorem5.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    callers = set()
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, ast.FunctionDef):
+                visit(child, f"{name}.{child.name}" if name else child.name)
+            else:
+                if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                        and child.func.id == "beta_coeffs"):
+                    callers.add(name)
+                visit(child, name)
+
+    visit(tree, "")
+    assert callers == {"StructuredSpec.beta", "p_matrix", "q_matrix", "u_matrix", "psi_series"}
+
+
 def test_library_does_not_rename_its_own_exceptions():
     # A handler that catches one of the package's exceptions and raises another
     # of them is a second name for one failure; callers catch the first.  Mapping

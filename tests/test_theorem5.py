@@ -52,15 +52,15 @@ def test_spec_validation():
 def test_beta_basics():
     spec = make_spec(7, 3, 4, [1, 2, 3])
     s = spec.s
-    assert beta_coeffs(spec.ctx, s, 5, 0) == [1]
+    assert beta_coeffs(spec.ctx, s, [5], 0)[0] == [1]
     # lambda = 1: phi^1 = phi
-    assert beta_coeffs(spec.ctx, s, 1, 3) == s
+    assert beta_coeffs(spec.ctx, s, [1], 3)[0] == s
 
 
 def test_beta_binomial_series():
     # phi = 1 + t: beta_l(lambda) = C(lambda, l); lambda = -1/2 = 3 mod 7
     ctx = prime_ctx(7)
-    out = beta_coeffs(ctx, [1, 1], rational_mod_p(ctx, Fraction(-1, 2)), 2)
+    out = beta_coeffs(ctx, [1, 1], [rational_mod_p(ctx, Fraction(-1, 2))], 2)[0]
     lam = 3
     assert out[1] == lam % 7
     assert out[2] == lam * (lam - 1) // 2 % 7 if lam * (lam - 1) % 2 == 0 else True
@@ -77,7 +77,7 @@ def test_beta_matches_integer_powers():
         lam = rng.randrange(5)
         phi = FpPoly(ctx, s)
         ref = poly_pow(phi, lam)
-        got = beta_coeffs(ctx, s, lam, 6)
+        got = beta_coeffs(ctx, s, [lam], 6)[0]
         assert got == [ref.coeff(i) for i in range(7)]
 
 
@@ -161,27 +161,69 @@ def test_spec_derives_its_matrices_once(monkeypatch):
 
 
 def test_beta_rows_taken_once_per_lambda(monkeypatch):
-    # Q (lambda = -j/r) and P (lambda = -(r-i)/r) of build_PQZB share their
-    # d beta rows, and the m equal rows of u_matrix are one beta row
+    # Every beta row a spec needs (Q and P of build_PQZB, Q and P of
+    # claimed_r1_inverse) comes from one beta_coeffs call over its 3r - 1
+    # values k/r, and the m equal rows of u_matrix are one beta row
     calls = []
     real = theorem5.beta_coeffs
 
-    def counting(ctx, s, lam_mod, max_l):
-        calls.append(lam_mod)
-        return real(ctx, s, lam_mod, max_l)
+    def counting(ctx, s, lam_mods, max_l):
+        calls.append(list(lam_mods))
+        return real(ctx, s, lam_mods, max_l)
 
     monkeypatch.setattr(theorem5, "beta_coeffs", counting)
     spec = random_spec(prime_ctx(23), 6, 19, random.Random(3))
+    assert check_theorem5(spec)["holds"]
+    assert check_aux_lemmas(spec)["holds"]
+    assert len(calls) == 1
+    assert len(calls[0]) == len(set(calls[0])) == 3 * spec.r - 1 == 17
     B, Q, Z, P = build_PQZB(spec)
-    assert len(calls) == spec.d == len(set(calls))
+    assert len(calls) == 1
     s = spec.s
     d = spec.d
     assert Q == q_matrix(spec.ctx, s, [Fraction(-j, spec.r) for j in range(1, d + 1)])
     assert P == p_matrix(spec.ctx, s, [Fraction(-(spec.r - i), spec.r) for i in range(1, d + 1)])
     calls.clear()
     U = u_matrix(spec.ctx, s, Fraction(2, 5), 7)
-    assert len(calls) == 1
+    assert calls == [[rational_mod_p(spec.ctx, Fraction(2, 5))]]
     assert U == p_matrix(spec.ctx, s, [Fraction(2, 5)] * 7)
+
+
+def _scalar_beta(p, s, lam, max_l):
+    """beta_0..beta_max_l of phi^lam, one lambda and one l at a time:
+    k beta_k = sum_{j=1..min(k,r)} ((lam+1) j - k) s_j beta_{k-j}."""
+    r = len(s) - 1
+    beta = [1]
+    for k in range(1, max_l + 1):
+        acc = sum(((lam + 1) * j - k) * s[j] * beta[k - j] for j in range(1, min(k, r) + 1))
+        beta.append(acc * pow(k, -1, p) % p)
+    return beta
+
+
+def test_beta_table_matches_scalar_recurrence():
+    # spec.beta[k] is the row of lambda = k/r, k = 1-2r..r-1, for one random
+    # spec per admissible (r, e) at p <= 13
+    rng = random.Random(7)
+    specs = 0
+    for p in (3, 5, 7, 11, 13):
+        ctx = prime_ctx(p)
+        for r, e in admissible_pairs(ctx):
+            spec = random_spec(ctx, r, e, rng)
+            assert len(spec.beta) == 3 * r - 1
+            for k in range(1 - 2 * r, r):
+                assert spec.beta[k] == _scalar_beta(p, spec.s, k * pow(r, -1, p) % p, r - 1)
+            specs += 1
+    assert specs == sum(len(admissible_pairs(prime_ctx(p))) for p in (3, 5, 7, 11, 13))
+    # unsorted and repeated lambdas, each row its own lambda's
+    ctx = prime_ctx(13)
+    s = [1, 4, 0, 12, 7]
+    lams = [9, 0, 12, 9, 3, 0, 1, 9]
+    assert beta_coeffs(ctx, s, lams, 12) == [_scalar_beta(13, s, lam, 12) for lam in lams]
+    # one lambda; max_l = 0; max_l >= p
+    assert beta_coeffs(ctx, s, [5], 7) == [_scalar_beta(13, s, 5, 7)]
+    assert beta_coeffs(ctx, s, lams, 0) == [[1]] * len(lams)
+    with pytest.raises(theorem5.IndexTooLarge):
+        beta_coeffs(ctx, s, lams, 13)
 
 
 def test_spec_checks_build_no_fraction(monkeypatch):
@@ -319,7 +361,7 @@ def test_semigroup_laws():
         for i in range(m):
             for j in range(m):
                 want = (
-                    beta_coeffs(ctx, s, rational_mod_p(ctx, lams[i] + mus[j]), m)[i - j]
+                    beta_coeffs(ctx, s, [rational_mod_p(ctx, lams[i] + mus[j])], m)[0][i - j]
                     if i >= j else 0
                 )
                 assert PQ[i, j] == want
@@ -344,7 +386,7 @@ def test_s_of_phi_power_is_u():
     s = [1, 3, 5, 2]
     for lam in (Fraction(2), Fraction(-1, 3), Fraction(5, 2)):
         m = 4
-        coeffs = beta_coeffs(ctx, s, rational_mod_p(ctx, lam), m - 1)
+        coeffs = beta_coeffs(ctx, s, [rational_mod_p(ctx, lam)], m - 1)[0]
         assert s_matrix(ctx, coeffs, m) == u_matrix(ctx, s, lam, m)
 
 
