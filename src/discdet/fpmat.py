@@ -89,10 +89,6 @@ class FpMatrix:
         m = self.cols
         return FpMatrix(self.ctx, self.rows, m, [cs[k // m] * a for k, a in enumerate(self.data)])
 
-    def transpose(self) -> "FpMatrix":
-        m = self.cols
-        return FpMatrix(self.ctx, m, self.rows, [a for j in range(m) for a in self.data[j::m]])
-
     def submatrix(self, r0, r1, c0, c1) -> "FpMatrix":
         rows = [self.row(i)[c0:c1] for i in range(r0, r1)]
         return FpMatrix(self.ctx, r1 - r0, c1 - c0, [a for r in rows for a in r])

@@ -79,14 +79,12 @@ def test_inverse_roundtrip():
     assert swapped >= 10
 
 
-def test_matmul_hstack_submatrix():
+def test_matmul_submatrix():
     ctx = prime_ctx(7)
     A = FpMatrix(ctx, 2, 3, [1, 2, 3, 4, 5, 6])
     B = FpMatrix(ctx, 3, 2, [1, 0, 0, 1, 1, 1])
     assert (A @ B).to_rows() == [[4, 5], [3, 4]]
     assert A.submatrix(0, 2, 1, 3).to_rows() == [[2, 3], [5, 6]]
-    assert A.transpose().to_rows() == [[1, 4], [2, 5], [3, 6]]
-    assert A.transpose().transpose() == A
 
 
 def matmul_loops(A, B):
@@ -128,8 +126,7 @@ def test_packed_matmul_slots_at_their_bound():
 
 
 def test_solve_matches_inverse_and_raises_exactly_when_singular():
-    # solve(M, B) = M^{-1} B, and B M^{-1} as the solve on the transposes;
-    # both raise Singular exactly when det M = 0
+    # solve(M, B) = M^{-1} B, and it raises Singular exactly when det M = 0
     rng = random.Random(6)
     singular = 0
     for p in (2, 3, 31):
@@ -138,18 +135,14 @@ def test_solve_matches_inverse_and_raises_exactly_when_singular():
             for q in (0, 1, n, n + 2):
                 for _ in range(4):
                     M = rand_matrix(ctx, n, rng)
-                    B, C = rand_rect(ctx, n, q, rng), rand_rect(ctx, q, n, rng)
+                    B = rand_rect(ctx, n, q, rng)
                     if det_leibniz(M) == 0:
                         singular += 1
                         with pytest.raises(Singular):
                             solve(M, B)
-                        with pytest.raises(Singular):
-                            solve(M.transpose(), C.transpose())
                         continue
                     X = solve(M, B)
                     assert X == inverse(M) @ B and M @ X == B, (p, M, B)
-                    Y = solve(M.transpose(), C.transpose()).transpose()
-                    assert Y == C @ inverse(M) and Y @ M == C, (p, M, C)
     assert singular >= 20
     ctx = prime_ctx(5)
     with pytest.raises(ValueError):

@@ -65,10 +65,8 @@ def test_theorem5_reads_s_padded_only_in_band():
     assert reads
 
 
-def test_theorem5_takes_beta_rows_only_through_beta_coeffs():
-    # Every beta row of a spec comes from the one StructuredSpec.beta table;
-    # the tests' rational-lambda builders and psi_series make their own call.
-    # So the theorem5.beta span of perfbench/tracer.py sees all beta work.
+def theorem5_callers(callee):
+    """Qualified names of the theorem5 functions that call ``callee`` by name."""
     path = SRC / "theorem5.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     callers = set()
@@ -81,12 +79,29 @@ def test_theorem5_takes_beta_rows_only_through_beta_coeffs():
                 visit(child, f"{name}.{child.name}" if name else child.name)
             else:
                 if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                        and child.func.id == "beta_coeffs"):
+                        and child.func.id == callee):
                     callers.add(name)
                 visit(child, name)
 
     visit(tree, "")
-    assert callers == {"StructuredSpec.beta", "p_matrix", "q_matrix", "u_matrix", "psi_series"}
+    return callers
+
+
+def test_theorem5_takes_beta_rows_only_through_beta_coeffs():
+    # Every beta row of a spec comes from the one StructuredSpec.beta table;
+    # the tests' rational-lambda builders and psi_series make their own call.
+    # So the theorem5.beta span of perfbench/tracer.py sees all beta work.
+    assert theorem5_callers("beta_coeffs") == {
+        "StructuredSpec.beta", "p_matrix", "q_matrix", "u_matrix", "psi_series"}
+
+
+def test_theorem5_solves_only_for_the_quotient():
+    # M^{-1} B is solve(M, B), taken once per spec for the quotient; where a
+    # statement names M^{-1} it is the closed form (claimed_r1_inverse) or
+    # inverse, and only R^u's top block in check_aux_lemmas has no closed form.
+    # B M^{-1} as a solve on transposes has no place here.
+    assert theorem5_callers("solve") == {"StructuredSpec.quotient"}
+    assert theorem5_callers("inverse") == {"check_aux_lemmas"}
 
 
 def test_library_does_not_rename_its_own_exceptions():

@@ -125,8 +125,8 @@ def test_check_aux_lemmas_pinned_cases():
 
 def test_spec_derives_its_matrices_once(monkeypatch):
     # random_spec and both checks share one expansion of f^e (L, with M_d(f^e)
-    # as its last d columns), one M_d(f^{e+1}) and one solve against M_d(f^e),
-    # and no inverse of it.
+    # as its last d columns), one M_d(f^{e+1}) and one solve against M_d(f^e).
+    # The one inverse is of R^u's top block: R1^{-1} is the closed form.
     built, powered, solved, inverted = [], [], [], []
     real_m, real_pow = theorem5.m_matrix, theorem5.poly_pow
     real_solve, real_inverse = theorem5.solve, theorem5.inverse
@@ -156,8 +156,63 @@ def test_spec_derives_its_matrices_once(monkeypatch):
     assert check_aux_lemmas(spec)["holds"]
     assert [(e, d) for f, e, d in built if f == spec.f] == [(11, 3)]
     assert [e for f, e in powered if f == spec.f] == [10]
-    assert sum(M == spec.Me for M in solved) == 1
-    assert not any(M == spec.Me for M in inverted)
+    assert solved == [spec.Me]
+    r, s, inv_r = spec.r, spec.s, spec.inv_r
+    # R^u's top block: s_{i-j} off its last column, (1 - (i-r)/r) s_{i-r} in it
+    # (1-based i, j; s_k = 0 outside 0..r)
+    top = [[s[i - j] if j < r and i >= j else
+            (1 - (i - r) * inv_r) * s[i - r] if j == r and i >= r else 0
+            for j in range(1, r + 1)] for i in range(1, r + 1)]
+    assert inverted == [FpMatrix.from_rows(spec.ctx, top)]
+
+
+def test_r1_and_ru_top_are_lower_triangular_at_p_le_31(monkeypatch):
+    # R1 = ((n(r-i+j) - (r-j)) s_{i-j}) (1-based) is lower triangular with
+    # diagonal rn - r + i, the values zeta_i = n / (rn - (r - i)) inverts, so
+    # every spec has an invertible R1.  R^u's top block, the one matrix
+    # check_aux_lemmas inverts, is unit lower triangular, so that inverse
+    # cannot raise.
+    inverted = []
+    real_inverse = theorem5.inverse
+
+    def keeping_inverse(M):
+        inverted.append(M)
+        return real_inverse(M)
+
+    monkeypatch.setattr(theorem5, "inverse", keeping_inverse)
+    rng = random.Random(9)
+    seen = 0
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        ctx = prime_ctx(p)
+        for r, e in admissible_pairs(ctx):
+            spec = random_spec(ctx, r, e, rng)
+            n, s = spec.n, spec.s
+            R1 = [[(n * (r - i + j) - (r - j)) * s[i - j] % p if i >= j else 0
+                   for j in range(1, r + 1)] for i in range(1, r + 1)]
+            diag = [(r * n - r + i) % p for i in range(1, r + 1)]
+            assert [R1[i][i] for i in range(r)] == diag and all(diag), (p, r, e)
+            assert [z * c % p for z, c in zip(spec.zeta, diag)] == [n % p] * r
+            assert not any(R1[i][j] for i in range(r) for j in range(i + 1, r))
+            inverted.clear()
+            assert check_aux_lemmas(spec)["holds"], (p, r, e)
+            (U,) = inverted
+            assert U.rows == U.cols == r
+            assert all(U[i, j] == (i == j) for i in range(r) for j in range(i, r)), (p, r, e)
+            seen += 1
+    assert seen == 323
+
+
+def test_wrong_r1_closed_form_is_caught(monkeypatch):
+    # R2 R1^{-1} is read from the closed form, so a wrong closed form must fail
+    # "R1_inverse" and so "holds", without raising.
+    spec = random_spec(prime_ctx(13), 4, 10, random.Random(2))
+    real = theorem5.claimed_r1_inverse(spec)
+    data = list(real.data)
+    data[5] += 1
+    monkeypatch.setattr(theorem5, "claimed_r1_inverse",
+                        lambda spec: FpMatrix(real.ctx, real.rows, real.cols, data))
+    report = check_aux_lemmas(spec)
+    assert report["R1_inverse"] is False and report["holds"] is False
 
 
 def test_beta_rows_taken_once_per_lambda(monkeypatch):
