@@ -12,7 +12,8 @@ from operator import mul
 
 from .ff import PrimeCtx, rational_mod_p
 from .poly import FpPoly, _mul, _pack, _slot, _unpack, bezout_rows, discriminant, m_exponents, poly_pow
-from .fpmat import FpMatrix, Singular, det, inverse, m_matrix, solve
+# inverse is not called here; perfbench/tracer.py wraps it under this module's name.
+from .fpmat import FpMatrix, Singular, det, inverse, m_matrix, solve  # noqa: F401
 from .sets import b_span
 
 SPEC_TRIES = 100  # random f drawn by random_spec before it gives up
@@ -257,7 +258,11 @@ def check_aux_lemmas(spec: StructuredSpec) -> dict:
     [-R2 R1^{-1} | I] V = V_b - (R2 R1^{-1}) V_t.  R1^{-1} is the paper's
     closed form C = claimed_r1_inverse(spec); "R1_inverse" checks R1 C = I,
     which forces C = R1^{-1}, so "holds" means what it would with a computed
-    inverse.  The top block of R^u has no closed form and is inverted.
+    inverse.  R^u's top r x r block is S_r(phi), inverted by U_r(-1), every
+    row the lambda = -1 row beta[-r], so only R^u's last d rows are built.
+    That row is also the last row of claimed_r1_inverse's P; as Q is unit
+    triangular and every zeta_i and n nonzero, C = R1^{-1} fixes P, and so
+    the row, for the Q read from the same table.
     """
     ctx, r, d, n, inv_r = spec.ctx, spec.r, spec.d, spec.n, spec.inv_r
     V = _band(spec, r + d, d, 0)
@@ -272,9 +277,9 @@ def check_aux_lemmas(spec: StructuredSpec) -> dict:
     quot = R.submatrix(r, r + d, 0, r) @ C
     report["bracket_V=quotient"] = (Vb - quot @ Vt) == spec.quotient
     # Reduction modulo the zeta ideal: R^u has s_{i-j} off its last column and
-    # (1 - (i-r)/r) s_{i-r} in column r.
-    Ru = _band(spec, r + d, r, 0, lambda i, j: 1 if j < r - 1 else 1 - (i + 1 - r) * inv_r)
-    quot_um = Ru.submatrix(r, r + d, 0, r) @ inverse(Ru.submatrix(0, r, 0, r))
+    # (1 - (i-r)/r) s_{i-r} in column r, which is e_r in the top block S_r(phi).
+    R2u = _band(spec, d, r, r, lambda i, j: 1 if j < r - 1 else 1 - (i + 1) * inv_r)
+    quot_um = R2u @ _p_of(ctx, [spec.beta[-r]] * r)
     report["um_bracket_V=0"] = (quot_um @ Vt) == Vb
     report["um_last_column_0"] = all(quot[i, r - 1] == quot_um[i, r - 1] for i in range(d))
     report["holds"] = all(v for kk, v in report.items() if kk != "holds")

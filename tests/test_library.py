@@ -96,12 +96,13 @@ def test_theorem5_takes_beta_rows_only_through_beta_coeffs():
 
 
 def test_theorem5_solves_only_for_the_quotient():
-    # M^{-1} B is solve(M, B), taken once per spec for the quotient; where a
-    # statement names M^{-1} it is the closed form (claimed_r1_inverse) or
-    # inverse, and only R^u's top block in check_aux_lemmas has no closed form.
-    # B M^{-1} as a solve on transposes has no place here.
+    # M^{-1} B is solve(M, B), taken once per spec for the quotient; every
+    # other M^{-1} a statement names is a closed form: claimed_r1_inverse for
+    # R1, and U_r(-1) for R^u's top block S_r(phi).  det is taken only of B_r.
+    # So no elimination enters the checks but the quotient's.
     assert theorem5_callers("solve") == {"StructuredSpec.quotient"}
-    assert theorem5_callers("inverse") == {"check_aux_lemmas"}
+    assert theorem5_callers("inverse") == set()
+    assert theorem5_callers("det") == {"det_br_identity"}
 
 
 def test_library_does_not_rename_its_own_exceptions():

@@ -9,7 +9,7 @@ import pytest
 from discdet.ff import prime_ctx, rational_mod_p
 from discdet.fpmat import FpMatrix, Singular, det, inverse, m_matrix
 from discdet.poly import FpPoly, discriminant, monomial_sum, poly_pow
-from discdet import theorem5
+from discdet import fpmat, theorem5
 from discdet.theorem5 import (
     StructuredSpec,
     admissible_pairs,
@@ -126,7 +126,7 @@ def test_check_aux_lemmas_pinned_cases():
 def test_spec_derives_its_matrices_once(monkeypatch):
     # random_spec and both checks share one expansion of f^e (L, with M_d(f^e)
     # as its last d columns), one M_d(f^{e+1}) and one solve against M_d(f^e).
-    # The one inverse is of R^u's top block: R1^{-1} is the closed form.
+    # Nothing is inverted: R1^{-1} and R^u's top block inverse are closed forms.
     built, powered, solved, inverted = [], [], [], []
     real_m, real_pow = theorem5.m_matrix, theorem5.poly_pow
     real_solve, real_inverse = theorem5.solve, theorem5.inverse
@@ -157,29 +157,14 @@ def test_spec_derives_its_matrices_once(monkeypatch):
     assert [(e, d) for f, e, d in built if f == spec.f] == [(11, 3)]
     assert [e for f, e in powered if f == spec.f] == [10]
     assert solved == [spec.Me]
-    r, s, inv_r = spec.r, spec.s, spec.inv_r
-    # R^u's top block: s_{i-j} off its last column, (1 - (i-r)/r) s_{i-r} in it
-    # (1-based i, j; s_k = 0 outside 0..r)
-    top = [[s[i - j] if j < r and i >= j else
-            (1 - (i - r) * inv_r) * s[i - r] if j == r and i >= r else 0
-            for j in range(1, r + 1)] for i in range(1, r + 1)]
-    assert inverted == [FpMatrix.from_rows(spec.ctx, top)]
+    assert inverted == []
 
 
-def test_r1_and_ru_top_are_lower_triangular_at_p_le_31(monkeypatch):
+def test_r1_and_ru_top_are_lower_triangular_at_p_le_31():
     # R1 = ((n(r-i+j) - (r-j)) s_{i-j}) (1-based) is lower triangular with
     # diagonal rn - r + i, the values zeta_i = n / (rn - (r - i)) inverts, so
-    # every spec has an invertible R1.  R^u's top block, the one matrix
-    # check_aux_lemmas inverts, is unit lower triangular, so that inverse
-    # cannot raise.
-    inverted = []
-    real_inverse = theorem5.inverse
-
-    def keeping_inverse(M):
-        inverted.append(M)
-        return real_inverse(M)
-
-    monkeypatch.setattr(theorem5, "inverse", keeping_inverse)
+    # every spec has an invertible R1.  R^u's top block is S_r(phi), and the
+    # spec's lambda = -1 row, U_r(-1), inverts it.
     rng = random.Random(9)
     seen = 0
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
@@ -193,11 +178,16 @@ def test_r1_and_ru_top_are_lower_triangular_at_p_le_31(monkeypatch):
             assert [R1[i][i] for i in range(r)] == diag and all(diag), (p, r, e)
             assert [z * c % p for z, c in zip(spec.zeta, diag)] == [n % p] * r
             assert not any(R1[i][j] for i in range(r) for j in range(i + 1, r))
-            inverted.clear()
             assert check_aux_lemmas(spec)["holds"], (p, r, e)
-            (U,) = inverted
-            assert U.rows == U.cols == r
-            assert all(U[i, j] == (i == j) for i in range(r) for j in range(i, r)), (p, r, e)
+            # R^u's top block: s_{i-j} off its last column, (1 - (i-r)/r) s_{i-r}
+            # in it (1-based i, j; s_k = 0 outside 0..r)
+            inv_r = spec.inv_r
+            top = FpMatrix.from_rows(ctx, [
+                [s[i - j] if j < r and i >= j else
+                 (1 - (i - r) * inv_r) * s[i - r] if j == r and i >= r else 0
+                 for j in range(1, r + 1)] for i in range(1, r + 1)])
+            assert top == theorem5._p_of(ctx, [s[:r]] * r), (p, r, e)
+            assert top @ theorem5._p_of(ctx, [spec.beta[-r]] * r) == FpMatrix.identity(ctx, r), (p, r, e)
             seen += 1
     assert seen == 323
 
@@ -213,6 +203,40 @@ def test_wrong_r1_closed_form_is_caught(monkeypatch):
                         lambda spec: FpMatrix(real.ctx, real.rows, real.cols, data))
     report = check_aux_lemmas(spec)
     assert report["R1_inverse"] is False and report["holds"] is False
+
+
+def test_wrong_lambda_minus_one_row_is_caught():
+    # R^u's top block is inverted by U_r(-1), the beta row of lambda = -1, which
+    # is also the last row of claimed_r1_inverse's P: a wrong entry of it must
+    # fail "R1_inverse", "um_bracket_V=0" and "holds", without raising.
+    r = 4
+    spec = random_spec(prime_ctx(13), r, 10, random.Random(2))
+    real = spec.beta
+    for l in range(1, r):
+        beta = [list(row) for row in real]
+        beta[-r][l] += 1
+        spec.__dict__["beta"] = beta
+        report = check_aux_lemmas(spec)
+        assert report["R1_inverse"] is False, l
+        assert report["um_bracket_V=0"] is False, l
+        assert report["holds"] is False, l
+
+
+def test_checks_eliminate_nothing_once_the_quotient_is_cached(monkeypatch):
+    # random_spec caches the quotient, the one solve of a spec; both checks
+    # then take every inverse from a closed form and eliminate nothing.
+    spec = random_spec(prime_ctx(13), 4, 10, random.Random(2))
+    calls = []
+    real = fpmat._eliminate
+
+    def counting(rows, p, swap):
+        calls.append(len(rows))
+        return real(rows, p, swap)
+
+    monkeypatch.setattr(fpmat, "_eliminate", counting)
+    assert check_theorem5(spec)["holds"]
+    assert check_aux_lemmas(spec)["holds"]
+    assert calls == []
 
 
 def test_beta_rows_taken_once_per_lambda(monkeypatch):
