@@ -382,8 +382,8 @@ def coeff_window(f: FpPoly, e: int, indices):
       - any other f^e: dense expansion by ``poly_pow``.
     """
     indices = list(indices)
-    if any(i < 0 for i in indices):
-        raise ValueError("indices must be nonnegative")
+    if e < 0 or any(i < 0 for i in indices):
+        raise ValueError("exponent and indices must be nonnegative")
     if e == 0:
         return [1 if i == 0 else 0 for i in indices]
     if f.is_zero() or not indices:

@@ -120,14 +120,12 @@ class MultiPoly:
         return res
 
     def __pow__(self, e: int):
+        # e products by self, no squaring: a product costs one key sum per pair of terms.
+        if e < 0:
+            raise ValueError("exponent must be nonnegative")
         result = MultiPoly.constant(self.ctx, self.nvars, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
+        for _ in range(e):
+            result = result * self
         return result
 
     def lead(self):

@@ -190,6 +190,16 @@ def test_m_matrix_rejects_bad_d():
             m_dets(f, 2, ds)
 
 
+def test_m_matrix_and_m_dets_reject_a_negative_exponent():
+    ctx = prime_ctx(7)
+    for f in (monomial_sum(ctx, [(3, 1), (1, 1), (0, 1)]), FpPoly(ctx, [1, 1, 1, 1])):
+        for e in (-1, -2):
+            with pytest.raises(ValueError):
+                m_matrix(f, e, 2)
+            with pytest.raises(ValueError):
+                m_dets(f, e, [1, 2])
+
+
 @st.composite
 def trinomial_dets_cases(draw):
     """(f, e, ds): f = x^r + a x^k + b over a small F_p, e < p, and 1-4

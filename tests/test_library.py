@@ -185,6 +185,19 @@ def test_library_import_graph_is_acyclic():
         visit(module)
 
 
+def _unused_imports(path):
+    """(line, name) of each name imported in path and never read as a name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for name, line in imported.items() if name not in used]
+
+
 def test_library_has_no_unused_imports():
     # A name the benchmark tracer swaps in a module counts as used there.
     hooked = {(module, path.split(".")[0]) for module, path, _, _ in _tracer_wrapped()}
@@ -192,16 +205,14 @@ def test_library_has_no_unused_imports():
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        imported = {}
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    name = alias.asname or alias.name.split(".")[0]
-                    imported.setdefault(name, node.lineno)
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
-                   if name not in used and (f"discdet.{path.stem}", name) not in hooked]
+        unused += [f"{path.name}:{line} {name}" for line, name in _unused_imports(path)
+                   if (f"discdet.{path.stem}", name) not in hooked]
+    assert unused == []
+
+
+def test_tests_have_no_unused_imports():
+    unused = [f"{path.name}:{line} {name}" for path in sorted((ROOT / "tests").glob("*.py"))
+              for line, name in _unused_imports(path)]
     assert unused == []
 
 

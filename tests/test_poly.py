@@ -1,6 +1,7 @@
 import random
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from discdet import poly
@@ -248,6 +249,18 @@ def test_frobenius_window_matches_sum_and_dense():
             for d in (1, 2, 3):
                 w = [i * p + j - d - 1 for i in range(1, d + 1) for j in range(1, d + 1)]
                 assert _frobenius_window(f, w) == _sparse_window(f, p - 1, w), (f, d)
+
+
+def test_coeff_window_rejects_a_negative_exponent():
+    # every path raises, not only the dense one that goes through poly_pow
+    ctx = prime_ctx(7)
+    fs = [FpPoly(ctx, []), monomial_sum(ctx, [(3, 1)]), monomial_sum(ctx, [(3, 1), (0, 2)]),
+          monomial_sum(ctx, [(3, 1), (1, 1), (0, 1)]), FpPoly(ctx, [1, 1, 1, 1])]
+    for f in fs:
+        for e in (-1, -2, -6):
+            for indices in ([0, 1, 2, 3], []):
+                with pytest.raises(ValueError):
+                    coeff_window(f, e, indices)
 
 
 def test_coeff_window_routes_on_cost(monkeypatch):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,49 @@ def test_multipoly_arithmetic():
     assert (square - square).is_zero()
     assert (x - y).evaluate([5, 3]) == 2
     assert square ** 3 == square * square * square
+
+
+def test_power_matches_the_binomial_theorem():
+    # [x^(e-k) y^k] (x + c y)^e = C(e, k) c^k mod p; at e >= p Lucas' theorem
+    # makes some of those zero, which the terms must leave out
+    for p in (2, 3, 7):
+        ctx = prime_ctx(p)
+        x = MultiPoly.variable(ctx, 2, 0)
+        y = MultiPoly.variable(ctx, 2, 1)
+        for c in range(p):
+            base = x + y.scale(c)
+            for e in range(2 * p + 2):
+                want = {(e - k, k): comb(e, k) * pow(c, k, p) % p for k in range(e + 1)}
+                assert (base ** e).terms == {m: v for m, v in want.items() if v}, (p, c, e)
+        zero = MultiPoly(ctx, 2)
+        assert zero ** 0 == MultiPoly.constant(ctx, 2, 1)
+        assert all((zero ** e).is_zero() for e in range(1, 4))
+        three = MultiPoly.constant(ctx, 0, 3)
+        assert all(three ** e == MultiPoly.constant(ctx, 0, pow(3, e, p)) for e in range(5))
+
+
+def test_power_rejects_a_negative_exponent():
+    x = MultiPoly.variable(prime_ctx(7), 2, 0)
+    for e in (-1, -3):
+        with pytest.raises(ValueError):
+            x ** e
+
+
+def test_power_multiplies_by_the_base_and_never_squares(monkeypatch):
+    # A MultiPoly product costs one key sum per pair of terms, so F ** e is
+    # e products by F itself, never a square of a large intermediate power.
+    ctx = prime_ctx(7)
+    x = MultiPoly.variable(ctx, 4, 3)
+    F = MultiPoly.constant(ctx, 4, 1)
+    for i in range(3):
+        F = F * (x - MultiPoly.variable(ctx, 4, i))
+    right = []
+    real_mul = MultiPoly.__mul__
+    monkeypatch.setattr(MultiPoly, "__mul__", lambda a, b: right.append(b) or real_mul(a, b))
+    for e in (0, 1, 2, 3, 6):
+        right.clear()
+        F ** e
+        assert len(right) == e and all(b is F for b in right), e
 
 
 def schoolbook(f, g):

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from discdet.ff import prime_ctx, rational_mod_p
-from discdet.fpmat import FpMatrix, Singular, det, inverse, m_matrix
-from discdet.poly import FpPoly, discriminant, monomial_sum, poly_pow
+from discdet.fpmat import FpMatrix, Singular, m_matrix
+from discdet.poly import FpPoly, monomial_sum, poly_pow
 from discdet import fpmat, theorem5
 from discdet.theorem5 import (
     StructuredSpec,
